@@ -86,13 +86,12 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _budget_from(args: argparse.Namespace) -> graphalg.CountBudget:
-    if args.budget is not None:
-        return graphalg.CountBudget(args.budget)
-    env = os.environ.get("MELON_BUDGET")
-    if env:
-        return graphalg.CountBudget(int(env))
-    return graphalg.DEFAULT_BUDGET
+def _budget_arg(text: str) -> graphalg.CountBudget:
+    try:
+        return graphalg.CountBudget(int(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"budget must be a positive integer, got {text!r}") from None
 
 
 def cmd_family(args: argparse.Namespace) -> int:
@@ -163,23 +162,25 @@ def _load_construction(path: str) -> melonic.MelonicConstruction:
     return melonic.from_json_dict(data)
 
 
-def _print_verify(report: graphalg.VerifyReport, as_json: bool) -> dict:
-    rows = [{"q": c.q, "counted": c.counted, "expected": c.expected,
-             "match": c.match} for c in report.checks]
-    if not as_json:
-        for row in rows:
+def _verify(c: melonic.MelonicConstruction, cls: ClassPoly,
+            args: argparse.Namespace, payload: dict) -> bool:
+    """Point-count the graph of c at the primes of --verify and report
+    each prime as a line, or under "verify" in payload for JSON."""
+    report = graphalg.verify_class(melonic.to_graph(c), cls, args.verify,
+                                   budget=args.budget)
+    payload["verify"] = [{"q": ch.q, "counted": ch.counted,
+                          "expected": ch.expected, "match": ch.match}
+                         for ch in report.checks]
+    if args.format != "json":
+        for row in payload["verify"]:
             status = "match" if row["match"] else "MISMATCH"
             print(f"q={row['q']}: counted {row['counted']}, "
                   f"expected {row['expected']} -> {status}")
-    return {"verify": rows}
+    return report.all_match
 
 
 def cmd_class(args: argparse.Namespace) -> int:
-    try:
-        c = _load_construction(args.construction)
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    c = _load_construction(args.construction)
     violations = melonic.validate(c)
     if violations:
         for v in violations:
@@ -191,17 +192,8 @@ def cmd_class(args: argparse.Namespace) -> int:
     if args.format != "json":
         print(_fmt_coeffs(coeffs))
     exit_code = EXIT_OK
-    if args.verify:
-        g = melonic.to_graph(c)
-        try:
-            report = graphalg.verify_class(g, cls, args.verify,
-                                           budget=_budget_from(args))
-        except graphalg.BudgetExceeded as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_BUDGET
-        payload.update(_print_verify(report, args.format == "json"))
-        if not report.all_match:
-            exit_code = EXIT_MISMATCH
+    if args.verify and not _verify(c, cls, args, payload):
+        exit_code = EXIT_MISMATCH
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     return exit_code
@@ -241,51 +233,40 @@ def cmd_necklace(args: argparse.Namespace) -> int:
                   + ("match" if closed_matches else "MISMATCH"))
         if not closed_matches:
             exit_code = EXIT_MISMATCH
-        if args.verify:
-            g = melonic.to_graph(construction)
-            try:
-                report = graphalg.verify_class(g, cls, args.verify,
-                                               budget=_budget_from(args))
-            except graphalg.BudgetExceeded as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_BUDGET
-            payload.update(_print_verify(report, args.format == "json"))
-            if not report.all_match:
-                exit_code = EXIT_MISMATCH
+        if args.verify and not _verify(construction, cls, args, payload):
+            exit_code = EXIT_MISMATCH
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     return exit_code
 
 
-def _search_chunk(serialized: list[str]) -> list[tuple[str, list[int]]]:
+def _search_chunk(constructions: list[melonic.MelonicConstruction]
+                  ) -> list[tuple[melonic.MelonicConstruction, list[int]]]:
     bad = []
-    for text in serialized:
-        c = melonic.deserialize(text)
+    for c in constructions:
         coeffs = tuple(melonic.class_of(c).poly.coeffs)
         ok, fails = concavity.check_lc(coeffs)
         if not ok:
-            bad.append((text, list(fails)))
+            bad.append((c, list(fails)))
     return bad
 
 
 def cmd_search(args: argparse.Namespace) -> int:
     start = time.monotonic()
     constructions = list(melonic.enumerate_constructions(args.max_edges))
-    keys = [melonic.serialize(c) for c in constructions]
     workers = args.workers or 1
     if workers <= 1:
-        bad = _search_chunk(keys)
+        bad = _search_chunk(constructions)
     else:
-        chunks = [keys[i::workers] for i in range(workers)]
+        chunks = [constructions[i::workers] for i in range(workers)]
         bad = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for part in pool.map(_search_chunk, chunks):
                 bad.extend(part)
-    bad.sort(key=lambda item: item[0])
+    bad.sort(key=lambda item: melonic.serialize(item[0]))
     counterexamples = [
-        {"construction": melonic.to_json_dict(melonic.deserialize(text)),
-         "failing_degrees": fails}
-        for text, fails in bad]
+        {"construction": melonic.to_json_dict(c), "failing_degrees": fails}
+        for c, fails in bad]
     result = SearchResult(
         constructions_checked=len(constructions),
         edge_bound=args.max_edges,
@@ -296,24 +277,11 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    try:
-        with open(args.graph, "r", encoding="utf-8") as fh:
-            g = graphalg.from_edge_list(fh.read())
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    with open(args.graph, "r", encoding="utf-8") as fh:
+        g = graphalg.from_edge_list(fh.read())
     primes = args.verify or [2, 3, 5]
-    budget = _budget_from(args)
-    counts = {}
-    try:
-        for q in primes:
-            counts[q] = graphalg.count_complement_points(g, q, budget=budget)
-    except graphalg.BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except graphalg.DisconnectedGraph as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    counts = {q: graphalg.count_complement_points(g, q, budget=args.budget)
+              for q in primes}
     if args.format == "json":
         print(json.dumps({"vertices": g.num_vertices,
                           "edges": len(g.edges),
@@ -362,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--basis", type=_basis_arg, default=Basis.S)
     p.add_argument("--verify", type=_parse_primes, default=None,
                    help="comma-separated primes for point-count check")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_budget_arg, default=None)
     p.add_argument("--format", choices=["json", "md"], default="md")
     p.set_defaults(func=cmd_class)
 
@@ -375,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=None,
                    help="cross-check against the construction recursion; "
                         "with primes, also against point counts")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_budget_arg, default=None)
     p.add_argument("--format", choices=["json", "md"], default="md")
     p.set_defaults(func=cmd_necklace)
 
@@ -392,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph", help="path to edge-list file, one 'u v' per line")
     p.add_argument("--verify", type=_parse_primes, default=None,
                    help="primes to count at (default 2,3,5)")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_budget_arg, default=None)
     p.add_argument("--format", choices=["json", "md"], default="md")
     p.set_defaults(func=cmd_oracle)
 
@@ -400,14 +368,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; the only place that maps exceptions to exit codes."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "m", None) is not None and args.command == "family":
-        if args.m < 0:
-            parser.error("--m must be >= 0")
+    if args.command == "family" and args.m < 0:
+        parser.error("--m must be >= 0")
+    env = os.environ.get("MELON_BUDGET")
+    # --budget wins over MELON_BUDGET; commands without --budget ignore it
+    if getattr(args, "budget", 0) is None and env:
+        try:
+            args.budget = _budget_arg(env)
+        except argparse.ArgumentTypeError as exc:
+            print(f"error: MELON_BUDGET: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     try:
         return args.func(args)
-    except ValueError as exc:
+    except graphalg.BudgetExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

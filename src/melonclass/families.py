@@ -15,7 +15,6 @@ identity can be cross-checked by independent routes.
 
 from __future__ import annotations
 
-import threading
 from enum import Enum
 from math import comb
 
@@ -32,58 +31,31 @@ class FamilyTag(Enum):
     B = "b"
 
 
-_lock = threading.Lock()
 _f_cache: list[IntPoly] = [ZERO]
-_s1_pow_cache: list[IntPoly] = [ONE]
-_s2_pow_cache: list[IntPoly] = [ONE]
-_banana_pow_cache: dict[tuple[int, int], IntPoly] = {}
+_pow_cache: dict[IntPoly, list[IntPoly]] = {}
 
 
 def _f(m: int) -> IntPoly:
     """f_m as a bare IntPoly, grown iteratively and cached."""
-    with _lock:
-        while len(_f_cache) <= m:
-            k = len(_f_cache) - 1
-            sign = 1 if k % 2 == 0 else -1
-            _f_cache.append(mul(_f_cache[k], S_PLUS_1) + IntPoly((sign,)))
-        return _f_cache[m]
+    while len(_f_cache) <= m:
+        k = len(_f_cache) - 1
+        sign = 1 if k % 2 == 0 else -1
+        _f_cache.append(mul(_f_cache[k], S_PLUS_1) + IntPoly((sign,)))
+    return _f_cache[m]
 
 
-def _s1_pow(k: int) -> IntPoly:
-    """(s+1)^k, cached."""
-    with _lock:
-        while len(_s1_pow_cache) <= k:
-            _s1_pow_cache.append(mul(_s1_pow_cache[-1], S_PLUS_1))
-        return _s1_pow_cache[k]
-
-
-def _s2_pow(k: int) -> IntPoly:
-    """(s+2)^k, cached."""
-    with _lock:
-        while len(_s2_pow_cache) <= k:
-            _s2_pow_cache.append(mul(_s2_pow_cache[-1], S_PLUS_2))
-        return _s2_pow_cache[k]
+def _pow(p: IntPoly, k: int) -> IntPoly:
+    """p^k, from one cached list of powers per base polynomial."""
+    powers = _pow_cache.setdefault(p, [ONE])
+    while len(powers) <= k:
+        powers.append(mul(powers[-1], p))
+    return powers[k]
 
 
 def _b(m: int) -> IntPoly:
     if m == 0:
         return ZERO
-    return m * _s1_pow(m - 1) + mul(S_PLUS_1, _f(m))
-
-
-def _banana_pow(m: int, k: int) -> IntPoly:
-    """b_m^k, cached per (m, k) so sweeps over k reuse earlier powers."""
-    if k == 0:
-        return ONE
-    with _lock:
-        have = _banana_pow_cache.get((m, k))
-    if have is not None:
-        return have
-    prev = _banana_pow(m, k - 1)
-    result = mul(prev, _b(m))
-    with _lock:
-        _banana_pow_cache[(m, k)] = result
-    return result
+    return m * _pow(S_PLUS_1, m - 1) + mul(S_PLUS_1, _f(m))
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -118,7 +90,7 @@ def f_closed_form(m: int) -> ClassPoly:
 def g_mn_poly(m: int, n: int) -> ClassPoly:
     """g_{m,n} = n (s+1)^{m-1} - f_m."""
     _require(m >= 1 and n >= 1, "g_mn_poly requires m, n >= 1")
-    return ClassPoly(n * _s1_pow(m - 1) - _f(m), Basis.S)
+    return ClassPoly(n * _pow(S_PLUS_1, m - 1) - _f(m), Basis.S)
 
 
 def g_poly(m: int) -> ClassPoly:
@@ -140,7 +112,8 @@ def h_poly(m: int) -> ClassPoly:
 def b_mn_poly(m: int, n: int) -> ClassPoly:
     """b_{m,n} = n (s+1)^{m-1} + (s+1) f_m."""
     _require(m >= 1 and n >= 1, "b_mn_poly requires m, n >= 1")
-    return ClassPoly(n * _s1_pow(m - 1) + mul(S_PLUS_1, _f(m)), Basis.S)
+    return ClassPoly(n * _pow(S_PLUS_1, m - 1) + mul(S_PLUS_1, _f(m)),
+                     Basis.S)
 
 
 def b_poly(m: int) -> ClassPoly:
@@ -258,10 +231,10 @@ def p_mn_poly(m: int, n: int) -> ClassPoly:
     p_{2,n} = s + n.  m = 1 gives the empty sum, p_{1,n} = 1.
     """
     _require(m >= 1 and n >= 2, "p_mn_poly requires m >= 1, n >= 2")
-    acc = _s1_pow(m - 1)
+    acc = _pow(S_PLUS_1, m - 1)
     for k in range(m - 1):
         sign = 1 if (m - 2 - k) % 2 == 0 else -1
-        acc = acc + sign * (n + k - 1) * _s1_pow(k)
+        acc = acc + sign * (n + k - 1) * _pow(S_PLUS_1, k)
     return ClassPoly(acc, Basis.S)
 
 
@@ -273,7 +246,7 @@ def clasped_necklace_class(m: int, n: int) -> ClassPoly:
     (s+1)(s+2) b_m^{n-2} p_{m,n}.  At n = 2 it collapses to b_{m+1}.
     """
     _require(m >= 1 and n >= 2, "clasped_necklace_class requires m >= 1, n >= 2")
-    acc = mul(mul(S_PLUS_1, S_PLUS_2), _banana_pow(m, n - 2))
+    acc = mul(mul(S_PLUS_1, S_PLUS_2), _pow(_b(m), n - 2))
     return ClassPoly(mul(acc, p_mn_poly(m, n).poly), Basis.S)
 
 
@@ -289,21 +262,18 @@ def _necklace_by_recursion(m: int, n: int) -> IntPoly:
     f_m = _f(m)
     g_m = g_poly(m).poly
     h_m = h_poly(m).poly
-    with _lock:
-        known = dict(_necklace_memo)
+    b_m = _b(m)
     for j in range(2, n + 1):
-        if (m, j) in known:
+        if (m, j) in _necklace_memo:
             continue
         if j == 2:
             val = _b(2 * m)
         else:
             val = (mul(f_m, clasped_necklace_class(m, j).poly)
-                   + mul(g_m, known[(m, j - 1)])
-                   + mul(h_m, _banana_pow(m, j - 1)))
-        known[(m, j)] = val
-        with _lock:
-            _necklace_memo[(m, j)] = val
-    return known[(m, n)]
+                   + mul(g_m, _necklace_memo[(m, j - 1)])
+                   + mul(h_m, _pow(b_m, j - 1)))
+        _necklace_memo[(m, j)] = val
+    return _necklace_memo[(m, n)]
 
 
 def necklace_class(m: int, n: int) -> ClassPoly:
@@ -315,8 +285,9 @@ def necklace_class(m: int, n: int) -> ClassPoly:
     """
     _require(m >= 1 and n >= 2, "necklace_class requires m >= 1, n >= 2")
     if m == 1:
-        return ClassPoly(mul(_b(2), _s2_pow(n - 2)), Basis.S)
+        return ClassPoly(mul(_b(2), _pow(S_PLUS_2, n - 2)), Basis.S)
     if m == 2:
-        head = _s1_pow(n) + n * _s1_pow(n - 1) - ONE
-        return ClassPoly(mul(mul(head, _s2_pow(n - 1)), S_PLUS_1), Basis.S)
+        head = _pow(S_PLUS_1, n) + n * _pow(S_PLUS_1, n - 1) - ONE
+        return ClassPoly(mul(mul(head, _pow(S_PLUS_2, n - 1)), S_PLUS_1),
+                         Basis.S)
     return ClassPoly(_necklace_by_recursion(m, n), Basis.S)

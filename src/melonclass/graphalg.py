@@ -18,7 +18,30 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .poly import ClassPoly
-from .melonic import Multigraph
+
+
+@dataclass(frozen=True)
+class Multigraph:
+    """Vertices 0..num_vertices-1 and an ordered multiset of undirected
+    edges; loops and parallel edges allowed.  Edge order fixes the
+    variable order of the Kirchhoff polynomial."""
+
+    num_vertices: int
+    edges: tuple[tuple[int, int], ...]
+
+    def __post_init__(self) -> None:
+        if self.num_vertices < 1:
+            raise ValueError("graph needs at least one vertex")
+        edges = tuple((int(u), int(v)) for u, v in self.edges)
+        for u, v in edges:
+            if not (0 <= u < self.num_vertices and 0 <= v < self.num_vertices):
+                raise ValueError(f"edge ({u}, {v}) out of vertex range")
+        object.__setattr__(self, "edges", edges)
+
+    def sorted_edge_key(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """Order-insensitive identity of the labeled graph."""
+        return (self.num_vertices,
+                tuple(sorted((min(u, v), max(u, v)) for u, v in self.edges)))
 
 
 class DisconnectedGraph(ValueError):
@@ -181,17 +204,6 @@ class KirchhoffPoly:
             return len(m)
         return 0
 
-    def eval_point(self, point: tuple[int, ...], q: int) -> int:
-        total = 0
-        for mono in self.monomials:
-            term = 1
-            for i in mono:
-                term = term * point[i] % q
-                if term == 0:
-                    break
-            total += term
-        return total % q
-
 
 def kirchhoff_polynomial(g: Multigraph) -> KirchhoffPoly:
     trees = spanning_trees(g)
@@ -276,7 +288,7 @@ def _count_direct(g: Multigraph, q: int) -> int:
 
 def count_complement_points(g: Multigraph, q: int,
                             budget: CountBudget | None = None,
-                            method: str = "auto") -> int:
+                            method: str = "dp") -> int:
     """Exact #{t in F_q^|E| : Psi(t) != 0}.
 
     method "dp" tabulates Psi by contraction-deletion (fast), "direct"
@@ -293,8 +305,6 @@ def count_complement_points(g: Multigraph, q: int,
             f"{q}^{len(g.edges)} = {size} points exceeds budget "
             f"{budget.max_points}")
     _require_connected(g)
-    if method == "auto":
-        method = "dp"
     if method == "dp":
         return _count_dp(g.edges, q)
     if method == "direct":
@@ -323,13 +333,12 @@ class VerifyReport:
 
 
 def verify_class(g: Multigraph, c: ClassPoly, primes: list[int],
-                 budget: CountBudget | None = None,
-                 method: str = "auto") -> VerifyReport:
+                 budget: CountBudget | None = None) -> VerifyReport:
     """Count complement points at each prime and compare with the class
     evaluated at S = q - 2."""
     checks = []
     for q in primes:
-        counted = count_complement_points(g, q, budget=budget, method=method)
+        counted = count_complement_points(g, q, budget=budget)
         expected = c.eval_at_field_size(q)
         checks.append(PrimeCheck(q=q, counted=counted, expected=expected))
     return VerifyReport(tuple(checks))

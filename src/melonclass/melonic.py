@@ -15,22 +15,20 @@ folded into its parent in place.
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Iterator, NamedTuple
 
 from . import families as fam
+from .graphalg import Multigraph
 from .poly import Basis, ClassPoly, IntPoly, ONE, mul
 
 
-@dataclass(frozen=True)
-class Stage:
+class Stage(NamedTuple):
+    """One stage; a tuple of stages is also the memo and splice key."""
+
     bananas: tuple[int, ...]
     parent_stage: int
     parent_banana: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "bananas", tuple(self.bananas))
 
 
 @dataclass(frozen=True)
@@ -47,43 +45,6 @@ class MelonicConstruction:
         for i, st in enumerate(self.stages):
             total += sum(st.bananas) - (0 if i == 0 else 1)
         return total
-
-
-@dataclass(frozen=True)
-class Multigraph:
-    """Vertices 0..num_vertices-1 and an ordered multiset of undirected
-    edges; loops and parallel edges allowed.  Edge order fixes the
-    variable order of the Kirchhoff polynomial."""
-
-    num_vertices: int
-    edges: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        if self.num_vertices < 1:
-            raise ValueError("graph needs at least one vertex")
-        edges = tuple((int(u), int(v)) for u, v in self.edges)
-        for u, v in edges:
-            if not (0 <= u < self.num_vertices and 0 <= v < self.num_vertices):
-                raise ValueError(f"edge ({u}, {v}) out of vertex range")
-        object.__setattr__(self, "edges", edges)
-
-    def sorted_edge_key(self) -> tuple[int, tuple[tuple[int, int], ...]]:
-        """Order-insensitive identity of the labeled graph."""
-        return (self.num_vertices,
-                tuple(sorted((min(u, v), max(u, v)) for u, v in self.edges)))
-
-
-StageKey = tuple[tuple[int, ...], int, int]
-ConstructionKey = tuple[StageKey, ...]
-
-
-def _encode(c: MelonicConstruction) -> ConstructionKey:
-    return tuple((st.bananas, st.parent_stage, st.parent_banana)
-                 for st in c.stages)
-
-
-def _decode(key: ConstructionKey) -> MelonicConstruction:
-    return MelonicConstruction(tuple(Stage(*s) for s in key))
 
 
 def validate(c: MelonicConstruction) -> list[str]:
@@ -146,7 +107,7 @@ def is_reduced(c: MelonicConstruction) -> bool:
     return True
 
 
-def _splice_once(stages: list[StageKey]) -> bool:
+def _splice_once(stages: list[Stage]) -> bool:
     """Fold the first stage that targets a size-1 entry into its parent.
 
     Replacing an edge that is itself a replaced single edge is the same
@@ -164,21 +125,21 @@ def _splice_once(stages: list[StageKey]) -> bool:
     tup, p, k = stages[victim]
     r = len(tup)
     ptup, pp, pk = stages[p - 1]
-    stages[p - 1] = (ptup[:k - 1] + tup + ptup[k:], pp, pk)
+    stages[p - 1] = Stage(ptup[:k - 1] + tup + ptup[k:], pp, pk)
     del stages[victim]
     s_idx = victim + 1  # 1-based index the removed stage had
     for i in range(len(stages)):
         ttup, tp, tk = stages[i]
         if tp == s_idx:
-            stages[i] = (ttup, p, k + tk - 1)
+            stages[i] = Stage(ttup, p, k + tk - 1)
         elif tp == p and tk > k:
-            stages[i] = (ttup, tp, tk + r - 1)
+            stages[i] = Stage(ttup, tp, tk + r - 1)
         elif tp > s_idx:
-            stages[i] = (ttup, tp - 1, tk)
+            stages[i] = Stage(ttup, tp - 1, tk)
     return True
 
 
-def _normalize_key(key: ConstructionKey) -> ConstructionKey:
+def _normalize_key(key: tuple[Stage, ...]) -> tuple[Stage, ...]:
     stages = list(key)
     while _splice_once(stages):
         pass
@@ -188,7 +149,7 @@ def _normalize_key(key: ConstructionKey) -> ConstructionKey:
 def normalize(c: MelonicConstruction) -> MelonicConstruction:
     """Return an equivalent reduced construction (idempotent)."""
     _require_valid(c)
-    return _decode(_normalize_key(_encode(c)))
+    return MelonicConstruction(_normalize_key(c.stages))
 
 
 def to_graph(c: MelonicConstruction) -> Multigraph:
@@ -217,13 +178,11 @@ def to_graph(c: MelonicConstruction) -> Multigraph:
     return Multigraph(num_vertices, kept)
 
 
-_class_memo: dict[ConstructionKey, IntPoly] = {}
-_class_lock = threading.Lock()
+_class_memo: dict[tuple[Stage, ...], IntPoly] = {}
 
 
-def _class_rec(key: ConstructionKey) -> IntPoly:
-    with _class_lock:
-        hit = _class_memo.get(key)
+def _class_rec(key: tuple[Stage, ...]) -> IntPoly:
+    hit = _class_memo.get(key)
     if hit is not None:
         return hit
 
@@ -239,18 +198,20 @@ def _class_rec(key: ConstructionKey) -> IntPoly:
             # a single banana in the last stage only widens the parent slot
             a = tup[0]
             ptup, pp, pk = stages[p - 1]
-            merged = (ptup[:k - 1] + (ptup[k - 1] + a - 1,) + ptup[k:], pp, pk)
+            merged = Stage(ptup[:k - 1] + (ptup[k - 1] + a - 1,) + ptup[k:],
+                           pp, pk)
             result = _class_rec(stages[:p - 1] + (merged,) + stages[p:n - 1])
         elif all(a == 1 for a in tup):
             # a string of r 1-bananas subdivides an edge r-1 times
-            result = mul(fam._s2_pow(len(tup) - 1), _class_rec(stages[:-1]))
+            result = mul(fam._pow(fam.S_PLUS_2, len(tup) - 1),
+                         _class_rec(stages[:-1]))
         else:
             m = max(range(len(tup)), key=lambda i: (tup[i], -i))
             a = tup[m]
-            t_one = stages[:-1] + ((tup[:m] + (1,) + tup[m + 1:], p, k),)
-            t_del = stages[:-1] + ((tup[:m] + tup[m + 1:], p, k),)
+            t_one = stages[:-1] + (Stage(tup[:m] + (1,) + tup[m + 1:], p, k),)
+            t_del = stages[:-1] + (Stage(tup[:m] + tup[m + 1:], p, k),)
             ptup, pp, pk = stages[p - 1]
-            shrunk = (ptup[:k - 1] + (ptup[k - 1] - 1,) + ptup[k:], pp, pk)
+            shrunk = Stage(ptup[:k - 1] + (ptup[k - 1] - 1,) + ptup[k:], pp, pk)
             t_cut = _normalize_key(stages[:p - 1] + (shrunk,) + stages[p:n - 1])
             side = ONE
             for i, ai in enumerate(tup):
@@ -260,8 +221,7 @@ def _class_rec(key: ConstructionKey) -> IntPoly:
                       + mul(fam.g_poly(a).poly, _class_rec(t_del))
                       + mul(mul(side, fam.h_poly(a).poly), _class_rec(t_cut)))
 
-    with _class_lock:
-        _class_memo[key] = result
+    _class_memo[key] = result
     return result
 
 
@@ -274,14 +234,12 @@ def class_of(c: MelonicConstruction) -> ClassPoly:
     on the largest banana of the last stage (lowest index on ties).
     """
     _require_valid(c)
-    return ClassPoly(_class_rec(_normalize_key(_encode(c))), Basis.S)
+    return ClassPoly(_class_rec(_normalize_key(c.stages)), Basis.S)
 
 
 def serialize(c: MelonicConstruction) -> str:
     """Deterministic compact string form of the exact stage list."""
-    payload = [[list(st.bananas), st.parent_stage, st.parent_banana]
-               for st in c.stages]
-    return json.dumps(payload, separators=(",", ":"))
+    return json.dumps(c.stages, separators=(",", ":"))
 
 
 def deserialize(text: str) -> MelonicConstruction:
@@ -421,8 +379,16 @@ def to_json_dict(c: MelonicConstruction) -> dict[str, Any]:
                        for st in c.stages]}
 
 
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def from_json_dict(data: Any) -> MelonicConstruction:
-    """Parse the construction JSON shape; raises ValueError on bad shape."""
+    """Parse the construction JSON shape; raises ValueError on bad shape.
+
+    Only JSON integers are accepted: strings, floats and booleans are
+    rejected rather than converted.
+    """
     if not isinstance(data, dict) or "stages" not in data:
         raise ValueError('construction JSON must be {"stages": [...]}')
     raw = data["stages"]
@@ -433,11 +399,16 @@ def from_json_dict(data: Any) -> MelonicConstruction:
         if not isinstance(entry, dict):
             raise ValueError(f"stage {i}: must be an object")
         try:
-            bananas = tuple(int(a) for a in entry["bananas"])
-            parent_stage = int(entry["parent_stage"])
-            parent_banana = int(entry["parent_banana"])
-        except (KeyError, TypeError, ValueError) as exc:
+            bananas = entry["bananas"]
+            parent_stage = entry["parent_stage"]
+            parent_banana = entry["parent_banana"]
+        except KeyError as exc:
             raise ValueError(f"stage {i}: needs bananas, parent_stage, "
                              f"parent_banana") from exc
-        stages.append(Stage(bananas, parent_stage, parent_banana))
+        if not (isinstance(bananas, list) and all(map(_is_int, bananas))
+                and _is_int(parent_stage) and _is_int(parent_banana)):
+            raise ValueError(f"stage {i}: bananas must be a list of "
+                             f"integers, parent_stage and parent_banana "
+                             f"integers")
+        stages.append(Stage(tuple(bananas), parent_stage, parent_banana))
     return MelonicConstruction(tuple(stages))

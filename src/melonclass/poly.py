@@ -90,25 +90,12 @@ class IntPoly:
     def __rmul__(self, other: int) -> "IntPoly":
         return self.__mul__(other)
 
-    def __pow__(self, k: int) -> "IntPoly":
-        if k < 0:
-            raise ValueError("negative power of a polynomial")
-        result = ONE
-        base = self
-        while k:
-            if k & 1:
-                result = mul(result, base)
-            base = mul(base, base)
-            k >>= 1
-        return result
-
     def __repr__(self) -> str:
         return f"IntPoly({list(self.coeffs)!r})"
 
 
 ZERO = IntPoly()
 ONE = IntPoly((1,))
-X = IntPoly((0, 1))
 
 
 def add(p: IntPoly, q: IntPoly) -> IntPoly:

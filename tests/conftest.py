@@ -1,4 +1,6 @@
+import os
 import random
+from pathlib import Path
 
 import pytest
 
@@ -15,3 +17,12 @@ def construction(*stages) -> MelonicConstruction:
     triples."""
     return MelonicConstruction(tuple(Stage(tuple(b), p, k)
                                      for b, p, k in stages))
+
+
+def src_env() -> dict[str, str]:
+    """Environment for a fresh interpreter that imports melonclass from
+    this checkout's src/, installed or not."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ,
+            "PYTHONPATH": src + (os.pathsep + path if path else "")}

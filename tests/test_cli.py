@@ -8,6 +8,8 @@ import pytest
 
 from melonclass import cli
 
+from conftest import src_env
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -122,6 +124,26 @@ def test_class_malformed_json(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_class_rejects_non_integer_fields(tmp_path, capsys):
+    root = {"bananas": [3], "parent_stage": 0, "parent_banana": 1}
+    for stages in (
+            [{"bananas": "33", "parent_stage": 0, "parent_banana": 1}],
+            [root, {"bananas": [2.9, True], "parent_stage": 1.5,
+                    "parent_banana": 1}],
+            [root, {"bananas": [2, True], "parent_stage": 1,
+                    "parent_banana": 1}],
+            [root, {"bananas": [2, 2], "parent_stage": 1.0,
+                    "parent_banana": 1}],
+            [root, {"bananas": [2, 2], "parent_stage": 1,
+                    "parent_banana": "1"}]):
+        path = _write_construction(tmp_path, stages)
+        assert cli.main(["class", path]) == 3, stages
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "integers" in captured.err
+
+
 def test_class_budget_exceeded(tmp_path, capsys):
     path = _write_construction(tmp_path, [
         {"bananas": [10], "parent_stage": 0, "parent_banana": 1}])
@@ -227,9 +249,29 @@ def test_env_budget(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_bad_budget_is_usage_error(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "g.txt"
+    path.write_text("0 1\n0 1\n")
+    for bad in ("0", "-5", "abc"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["oracle", str(path), "--budget", bad])
+        assert exc.value.code == 2
+        assert "positive integer" in capsys.readouterr().err
+    for bad in ("0", "-5", "abc"):
+        monkeypatch.setenv("MELON_BUDGET", bad)
+        assert cli.main(["oracle", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "MELON_BUDGET" in captured.err
+        # a valid flag still wins over the environment
+        assert cli.main(["oracle", str(path), "--budget", "1000"]) == 0
+        capsys.readouterr()
+
+
 def test_console_script_entry():
     proc = subprocess.run([sys.executable, "-m", "melonclass",
                            "family", "b", "--m", "2"],
-                          capture_output=True, text=True)
+                          env=src_env(), capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "[2, 3, 1]\n"

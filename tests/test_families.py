@@ -44,7 +44,7 @@ def test_g_plus_f_is_n_powers():
     for m in range(1, 30):
         for n in (1, 2, 5, 9):
             lhs = fam.g_mn_poly(m, n).poly + fam.f_poly(m).poly
-            assert lhs == n * fam._s1_pow(m - 1)
+            assert lhs == n * fam._pow(fam.S_PLUS_1, m - 1)
 
 
 def test_b_matches_banana_recursion():
@@ -120,8 +120,18 @@ def test_clasped_collapses_to_banana_at_n2():
 def test_clasped_polygon_at_m1():
     # one-edge bananas make the clasped necklace an n-gon
     for n in range(2, 12):
-        expected = mul(fam.b_poly(2).poly, fam._s2_pow(n - 2))
+        expected = mul(fam.b_poly(2).poly, fam._pow(fam.S_PLUS_2, n - 2))
         assert fam.clasped_necklace_class(1, n).poly == expected
+
+
+def test_deep_clasped_necklace_matches_construction():
+    # powers are grown iteratively, so a 1100-bead necklace is no
+    # deeper for the interpreter than a short one
+    from melonclass import cli, melonic
+    closed = fam.clasped_necklace_class(1, 1100).poly
+    assert closed.degree == 1100
+    construction = cli._necklace_construction("clasped", 1, 1100)
+    assert melonic.class_of(construction).poly == closed
 
 
 def test_necklace_closed_forms_match_recursion():

@@ -1,5 +1,7 @@
 import itertools
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,10 +9,10 @@ import pytest
 from melonclass import families as fam
 from melonclass import graphalg as ga
 from melonclass import melonic as mel
-from melonclass.melonic import Multigraph
+from melonclass.graphalg import Multigraph
 from melonclass.poly import Basis, ClassPoly, IntPoly, eval_int
 
-from conftest import construction
+from conftest import construction, src_env
 
 
 def banana(n: int) -> Multigraph:
@@ -221,3 +223,14 @@ def test_edge_list_comments_and_errors():
         ga.from_edge_list("-1 0\n")
     with pytest.raises(ValueError):
         ga.from_edge_list("")
+
+
+def test_graphalg_does_not_import_melonic():
+    # the oracle checks melonic's classes, so it must not depend on melonic
+    code = ("import sys, melonclass.graphalg; "
+            "print('melonclass.melonic' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=src_env(),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+    assert mel.Multigraph is Multigraph

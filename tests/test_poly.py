@@ -1,7 +1,7 @@
 import pytest
 
-from melonclass.poly import (Basis, ClassPoly, IntPoly, ONE, X, ZERO, add,
-                             eval_int, mul, shift_var, to_basis)
+from melonclass.poly import (Basis, ClassPoly, IntPoly, ZERO, add, eval_int,
+                             mul, shift_var, to_basis)
 
 
 def test_canonical_form_strips_trailing_zeros():
@@ -46,12 +46,6 @@ def test_mul_convolution():
     assert mul(ZERO, IntPoly((5, 7))) == ZERO
     assert 3 * IntPoly((1, 2)) == IntPoly((3, 6))
     assert IntPoly((1, 2)) * 0 == ZERO
-
-
-def test_pow():
-    assert X ** 0 == ONE
-    assert (X + ONE) ** 2 == IntPoly((1, 2, 1))
-    assert IntPoly((1, 1)) ** 5 == IntPoly((1, 5, 10, 10, 5, 1))
 
 
 def test_eval_int_matches_horner():
