@@ -86,12 +86,19 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _budget_arg(text: str) -> graphalg.CountBudget:
+def _positive_int(text: str) -> int:
     try:
-        return graphalg.CountBudget(int(text))
+        value = int(text)
     except ValueError:
+        value = 0
+    if value < 1:
         raise argparse.ArgumentTypeError(
-            f"budget must be a positive integer, got {text!r}") from None
+            f"must be a positive integer, got {text!r}")
+    return value
+
+
+def _budget_arg(text: str) -> graphalg.CountBudget:
+    return graphalg.CountBudget(_positive_int(text))
 
 
 def cmd_family(args: argparse.Namespace) -> int:
@@ -254,8 +261,8 @@ def _search_chunk(constructions: list[melonic.MelonicConstruction]
 def cmd_search(args: argparse.Namespace) -> int:
     start = time.monotonic()
     constructions = list(melonic.enumerate_constructions(args.max_edges))
-    workers = args.workers or 1
-    if workers <= 1:
+    workers = args.workers
+    if workers == 1:
         bad = _search_chunk(constructions)
     else:
         chunks = [constructions[i::workers] for i in range(workers)]
@@ -350,8 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search",
                        help="check log-concavity of every class up to an "
                             "edge bound")
-    p.add_argument("--max-edges", type=int, required=True)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--max-edges", type=_positive_int, required=True)
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("oracle",
@@ -373,6 +380,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "family" and args.m < 0:
         parser.error("--m must be >= 0")
+    if args.command == "family" and args.n is not None \
+            and args.family not in ("g", "b"):
+        parser.error("--n applies only to g and b")
     env = os.environ.get("MELON_BUDGET")
     # --budget wins over MELON_BUDGET; commands without --budget ignore it
     if getattr(args, "budget", 0) is None and env:
@@ -388,6 +398,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_BUDGET
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except RecursionError:
+        print("error: input is nested too deeply to process",
+              file=sys.stderr)
         return EXIT_INVALID
 
 

@@ -7,9 +7,10 @@ are 1-based to match that reading: parent_stage 0 means the root edge, and
 parent_banana counts entries of the parent tuple from 1.
 
 A construction is reduced when no stage replaces an edge of a size-1 banana
-created in stage 1 or later.  The class algorithm requires reduced input and
-this module normalizes by splicing: a stage that targets a size-1 entry is
-folded into its parent in place.
+created in stage 1 or later; such a stage describes the same graph as its
+string spliced into the parent tuple.  The class algorithm accepts any valid
+construction and splices as it recurses.  `normalize` gives the canonical
+form: reduced, sibling subtrees sorted, stages numbered depth-first.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .poly import Basis, ClassPoly, IntPoly, ONE, mul
 
 
 class Stage(NamedTuple):
-    """One stage; a tuple of stages is also the memo and splice key."""
+    """One stage; a tuple of stages is also the class memo key."""
 
     bananas: tuple[int, ...]
     parent_stage: int
@@ -107,51 +108,6 @@ def is_reduced(c: MelonicConstruction) -> bool:
     return True
 
 
-def _splice_once(stages: list[Stage]) -> bool:
-    """Fold the first stage that targets a size-1 entry into its parent.
-
-    Replacing an edge that is itself a replaced single edge is the same
-    as splicing the string directly into the parent tuple, so the graph
-    is unchanged.  Returns False when already reduced.
-    """
-    victim = None
-    for idx in range(1, len(stages)):
-        tup, p, k = stages[idx]
-        if p >= 1 and stages[p - 1][0][k - 1] == 1:
-            victim = idx
-            break
-    if victim is None:
-        return False
-    tup, p, k = stages[victim]
-    r = len(tup)
-    ptup, pp, pk = stages[p - 1]
-    stages[p - 1] = Stage(ptup[:k - 1] + tup + ptup[k:], pp, pk)
-    del stages[victim]
-    s_idx = victim + 1  # 1-based index the removed stage had
-    for i in range(len(stages)):
-        ttup, tp, tk = stages[i]
-        if tp == s_idx:
-            stages[i] = Stage(ttup, p, k + tk - 1)
-        elif tp == p and tk > k:
-            stages[i] = Stage(ttup, tp, tk + r - 1)
-        elif tp > s_idx:
-            stages[i] = Stage(ttup, tp - 1, tk)
-    return True
-
-
-def _normalize_key(key: tuple[Stage, ...]) -> tuple[Stage, ...]:
-    stages = list(key)
-    while _splice_once(stages):
-        pass
-    return tuple(stages)
-
-
-def normalize(c: MelonicConstruction) -> MelonicConstruction:
-    """Return an equivalent reduced construction (idempotent)."""
-    _require_valid(c)
-    return MelonicConstruction(_normalize_key(c.stages))
-
-
 def to_graph(c: MelonicConstruction) -> Multigraph:
     """Build the melonic multigraph stage by stage."""
     _require_valid(c)
@@ -194,13 +150,22 @@ def _class_rec(key: tuple[Stage, ...]) -> IntPoly:
             result = mul(result, fam._b(a))
     else:
         tup, p, k = stages[-1]
+        ptup, pp, pk = stages[p - 1]
         if len(tup) == 1:
             # a single banana in the last stage only widens the parent slot
             a = tup[0]
-            ptup, pp, pk = stages[p - 1]
             merged = Stage(ptup[:k - 1] + (ptup[k - 1] + a - 1,) + ptup[k:],
                            pp, pk)
             result = _class_rec(stages[:p - 1] + (merged,) + stages[p:n - 1])
+        elif ptup[k - 1] == 1:
+            # the string replaces a lone edge: splice it into the parent and
+            # shift the later slots of the parent past it
+            spliced = Stage(ptup[:k - 1] + tup + ptup[k:], pp, pk)
+            later = tuple(
+                Stage(st.bananas, p, st.parent_banana + len(tup) - 1)
+                if st.parent_stage == p and st.parent_banana > k else st
+                for st in stages[p:n - 1])
+            result = _class_rec(stages[:p - 1] + (spliced,) + later)
         elif all(a == 1 for a in tup):
             # a string of r 1-bananas subdivides an edge r-1 times
             result = mul(fam._pow(fam.S_PLUS_2, len(tup) - 1),
@@ -210,9 +175,9 @@ def _class_rec(key: tuple[Stage, ...]) -> IntPoly:
             a = tup[m]
             t_one = stages[:-1] + (Stage(tup[:m] + (1,) + tup[m + 1:], p, k),)
             t_del = stages[:-1] + (Stage(tup[:m] + tup[m + 1:], p, k),)
-            ptup, pp, pk = stages[p - 1]
+            # the splice branch leaves the parent slot at least two edges
             shrunk = Stage(ptup[:k - 1] + (ptup[k - 1] - 1,) + ptup[k:], pp, pk)
-            t_cut = _normalize_key(stages[:p - 1] + (shrunk,) + stages[p:n - 1])
+            t_cut = stages[:p - 1] + (shrunk,) + stages[p:n - 1]
             side = ONE
             for i, ai in enumerate(tup):
                 if i != m:
@@ -228,13 +193,15 @@ def _class_rec(key: tuple[Stage, ...]) -> IntPoly:
 def class_of(c: MelonicConstruction) -> ClassPoly:
     """Grothendieck class of the construction's graph, in the S basis.
 
-    Dispatches on the last stage: a lone stage is a product of banana
-    classes; a single-banana stage merges into its parent; an all-ones
-    stage is a repeated edge subdivision; otherwise contraction-deletion
-    on the largest banana of the last stage (lowest index on ties).
+    Accepts any valid construction, reduced or not.  Dispatches on the
+    last stage: a lone stage is a product of banana classes; a
+    single-banana stage merges into its parent; a stage on a size-1
+    banana is spliced into its parent; an all-ones stage is a repeated
+    edge subdivision; otherwise contraction-deletion on the largest
+    banana of the last stage (lowest index on ties).
     """
     _require_valid(c)
-    return ClassPoly(_class_rec(_normalize_key(c.stages)), Basis.S)
+    return ClassPoly(_class_rec(c.stages), Basis.S)
 
 
 def serialize(c: MelonicConstruction) -> str:
@@ -252,44 +219,46 @@ Node = tuple[tuple[int, ...], tuple[tuple["Node", ...], ...]]
 
 
 def _to_tree(c: MelonicConstruction) -> Node:
-    children: dict[tuple[int, int], list[int]] = {}
-    for idx, st in enumerate(c.stages[1:], start=2):
-        children.setdefault((st.parent_stage, st.parent_banana),
-                            []).append(idx)
-
-    def build(stage_idx: int) -> Node:
-        tup = c.stages[stage_idx - 1].bananas
-        forest = tuple(
-            tuple(sorted(build(ch)
-                         for ch in children.get((stage_idx, j), [])))
-            for j in range(1, len(tup) + 1))
-        return (tup, forest)
-
-    return build(1)
+    """Tree of c with strings on size-1 bananas spliced into their parents
+    and siblings sorted; built from the last stage back, since a parent
+    always comes before its children."""
+    kids: list[list[list[Node]]] = [[[] for _ in st.bananas]
+                                    for st in c.stages]
+    for idx in range(len(c.stages) - 1, -1, -1):
+        st = c.stages[idx]
+        tup: list[int] = []
+        forest: list[tuple[Node, ...]] = []
+        for a, slot in zip(st.bananas, kids[idx]):
+            if a == 1 and slot:
+                tup.extend(slot[0][0])
+                forest.extend(slot[0][1])
+            else:
+                tup.append(a)
+                forest.append(tuple(sorted(slot)))
+        node = (tuple(tup), tuple(forest))
+        if idx:
+            kids[st.parent_stage - 1][st.parent_banana - 1].append(node)
+    return node
 
 
 def _linearize(root: Node) -> MelonicConstruction:
-    stages: list[Stage] = [Stage(root[0], 0, 1)]
-
-    def emit(parent_idx: int, forest: tuple[tuple[Node, ...], ...]) -> None:
-        for j, siblings in enumerate(forest, start=1):
-            for tup, sub in siblings:
-                stages.append(Stage(tup, parent_idx, j))
-                emit(len(stages), sub)
-
-    emit(1, root[1])
+    """Number the stages of a tree depth-first, siblings in order."""
+    stages: list[Stage] = []
+    stack: list[tuple[Node, int, int]] = [(root, 0, 1)]
+    while stack:
+        (tup, forest), p, k = stack.pop()
+        stages.append(Stage(tup, p, k))
+        stack.extend((child, len(stages), j)
+                     for j in range(len(forest), 0, -1)
+                     for child in reversed(forest[j - 1]))
     return MelonicConstruction(tuple(stages))
 
 
-def canonical_construction(c: MelonicConstruction) -> MelonicConstruction:
-    """Relinearize with sibling subtrees sorted, so that constructions
-    differing only in stage bookkeeping order collapse to one form."""
+def normalize(c: MelonicConstruction) -> MelonicConstruction:
+    """The canonical form of c: reduced, sibling subtrees sorted, stages
+    numbered depth-first.  Equivalent constructions share it; idempotent."""
     _require_valid(c)
     return _linearize(_to_tree(c))
-
-
-def canonical_key(c: MelonicConstruction) -> str:
-    return serialize(canonical_construction(c))
 
 
 def enumerate_constructions(max_edges: int) -> Iterator[MelonicConstruction]:
@@ -307,7 +276,7 @@ def enumerate_constructions(max_edges: int) -> Iterator[MelonicConstruction]:
     catalog_cache: dict[int, list[tuple[Node, int]]] = {}
 
     def catalog(budget: int) -> list[tuple[Node, int]]:
-        """All subtrees costing 1..budget edges, sorted by encoding."""
+        """All subtrees costing 1..budget edges, sorted by cost."""
         if budget < 1:
             return []
         cached = catalog_cache.get(budget)
@@ -321,12 +290,12 @@ def enumerate_constructions(max_edges: int) -> Iterator[MelonicConstruction]:
                     continue
                 for forest, fcost in _forests(tup, budget - own):
                     items.append(((tup, forest), own + fcost))
-        items.sort(key=lambda item: item[0])
+        items.sort(key=lambda item: (item[1], item[0]))
         catalog_cache[budget] = items
         return items
 
     def _slot_sets(cap: int, budget: int) -> Iterator[tuple[tuple[Node, ...], int]]:
-        """Non-decreasing tuples of child subtrees for one banana slot."""
+        """Sorted tuples of child subtrees for one banana slot."""
         cands = catalog(budget)
 
         def rec(start: int, remaining: int,
@@ -337,11 +306,12 @@ def enumerate_constructions(max_edges: int) -> Iterator[MelonicConstruction]:
             for i in range(start, len(cands)):
                 node, cost = cands[i]
                 if cost > remaining:
-                    continue
+                    break
                 for rest, rcost in rec(i, remaining - cost, room - 1):
                     yield (node,) + rest, cost + rcost
 
-        yield from rec(0, budget, cap)
+        for children, cost in rec(0, budget, cap):
+            yield tuple(sorted(children)), cost
 
     def _forests(tup: tuple[int, ...],
                  budget: int) -> Iterator[tuple[tuple[tuple[Node, ...], ...], int]]:

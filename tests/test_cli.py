@@ -42,6 +42,16 @@ def test_family_usage_errors():
     assert exc.value.code == 2
 
 
+def test_family_n_only_for_g_and_b(capsys):
+    for fam_name in ("f", "h"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["family", fam_name, "--m", "3", "--n", "7"])
+        assert exc.value.code == 2
+        assert "--n applies only to g and b" in capsys.readouterr().err
+    code, out = run_cli(capsys, "family", "b", "--m", "3", "--n", "2")
+    assert code == 0 and out == "[3, 6, 4, 1]\n"
+
+
 def test_tables_golden_bytes(capsys):
     for which, name in (("ulc", "tables_ulc.md"), ("ulcm", "tables_ulcm.md")):
         code, out = run_cli(capsys, "tables", "--m", "1..10",
@@ -144,6 +154,19 @@ def test_class_rejects_non_integer_fields(tmp_path, capsys):
         assert "integers" in captured.err
 
 
+def test_class_deep_chain_is_invalid_input(tmp_path, capsys):
+    # a chain deeper than the interpreter's recursion limit
+    path = _write_construction(tmp_path, [
+        {"bananas": [2], "parent_stage": 0, "parent_banana": 1}] + [
+        {"bananas": [2, 2], "parent_stage": i, "parent_banana": 1}
+        for i in range(1, 1500)])
+    assert cli.main(["class", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "nested too deeply" in captured.err
+
+
 def test_class_budget_exceeded(tmp_path, capsys):
     path = _write_construction(tmp_path, [
         {"bananas": [10], "parent_stage": 0, "parent_banana": 1}])
@@ -206,6 +229,18 @@ def test_search_workers_match_single(capsys):
     a, b = json.loads(single), json.loads(multi)
     a.pop("elapsed"), b.pop("elapsed")
     assert a == b
+
+
+def test_search_rejects_nonpositive_counts(capsys):
+    for argv in (["--max-edges", "0"], ["--max-edges", "-3"],
+                 ["--max-edges", "3", "--workers", "0"],
+                 ["--max-edges", "3", "--workers", "-4"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["search", *argv])
+        assert exc.value.code == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be a positive integer" in captured.err
 
 
 def test_oracle_command(tmp_path, capsys):

@@ -158,6 +158,45 @@ def test_count_methods_agree():
                     == ga.count_complement_points(g, q, method="direct"))
 
 
+def _random_multigraph(rng: random.Random) -> Multigraph:
+    """A connected multigraph with at most 8 edges, loops and parallel
+    edges; about half contain K4, so they are not series-parallel."""
+    if rng.random() < 0.5:
+        n = rng.randint(4, 5)
+        edges = list(itertools.combinations(range(4), 2))
+        if n == 5:
+            edges.append((rng.randrange(4), 4))
+    else:
+        n = rng.randint(2, 5)
+        edges = [(rng.randrange(v), v) for v in range(1, n)]
+    for _ in range(rng.randint(1, 8 - len(edges))):
+        kind = rng.randrange(3)
+        if kind == 0:
+            w = rng.randrange(n)
+            edges.append((w, w))
+        elif kind == 1:
+            edges.append(rng.choice(edges))
+        else:
+            edges.append(tuple(rng.sample(range(n), 2)))
+    rng.shuffle(edges)
+    return Multigraph(n, tuple(edges))
+
+
+def test_count_methods_agree_on_general_multigraphs(rng):
+    shapes = {"loop": 0, "parallel": 0, "k4": 0}
+    for _ in range(60):
+        g = _random_multigraph(rng)
+        simple = {tuple(sorted(e)) for e in g.edges if e[0] != e[1]}
+        shapes["loop"] += any(u == v for u, v in g.edges)
+        shapes["parallel"] += len(simple) < sum(u != v for u, v in g.edges)
+        shapes["k4"] += set(itertools.combinations(range(4), 2)) <= simple
+        for q in (2, 3):
+            assert (ga.count_complement_points(g, q, method="dp")
+                    == ga.count_complement_points(g, q, method="direct")), \
+                (g, q)
+    assert min(shapes.values()) >= 10, shapes
+
+
 def test_count_loop_graph():
     # one loop: Psi = t, so q - 1 points survive
     g = Multigraph(1, ((0, 0),))

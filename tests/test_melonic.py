@@ -1,9 +1,11 @@
 import itertools
 import json
+import random
 
 import pytest
 
 from melonclass import families as fam
+from melonclass import graphalg as ga
 from melonclass import melonic as mel
 from melonclass.poly import mul
 
@@ -90,6 +92,64 @@ def test_normalize_preserves_class_and_size():
         assert g0.num_vertices == g1.num_vertices
 
 
+def _random_construction(rng: random.Random,
+                         max_edges: int) -> mel.MelonicConstruction:
+    """A valid construction with at most max_edges edges whose stages
+    target random free slots, size-1 bananas included."""
+    def bananas() -> tuple[int, ...]:
+        return tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 3)))
+
+    first = bananas()
+    while sum(first) > max_edges:
+        first = bananas()
+    stages = [mel.Stage(first, 0, 1)]
+    used: dict[tuple[int, int], int] = {}
+    edges = sum(first)
+    while rng.random() < 0.8:
+        tup = bananas()
+        free = [(i, j) for i, st in enumerate(stages, start=1)
+                for j, a in enumerate(st.bananas, start=1)
+                if used.get((i, j), 0) < a]
+        if edges + sum(tup) - 1 > max_edges:
+            break
+        slot = rng.choice(free)
+        used[slot] = used.get(slot, 0) + 1
+        stages.append(mel.Stage(tup, *slot))
+        edges += sum(tup) - 1
+    return mel.MelonicConstruction(tuple(stages))
+
+
+def test_random_constructions_class_and_normal_form(rng):
+    unreduced = 0
+    for _ in range(300):
+        c = _random_construction(rng, 8)
+        assert mel.validate(c) == []
+        unreduced += not mel.is_reduced(c)
+        cls = mel.class_of(c)
+        g = mel.to_graph(c)
+        for q in (2, 3):
+            assert ga.count_complement_points(g, q) == \
+                cls.eval_at_field_size(q), (c, q)
+        n = mel.normalize(c)
+        assert mel.is_reduced(n)
+        assert mel.validate(n) == []
+        assert n.num_edges() == c.num_edges()
+        assert mel.normalize(n) == n
+        assert mel.class_of(n) == cls
+    assert unreduced >= 60
+
+
+def test_normalize_deep_chain():
+    # deeper than the interpreter's recursion limit
+    links = [((2, 2), i, 1) for i in range(1, 1500)]
+    c = construction(((2,), 0, 1), *links)
+    assert mel.normalize(c) == c
+    # on a lone root edge the first link is spliced into stage 1
+    unreduced = construction(((1,), 0, 1), *links)
+    assert mel.normalize(unreduced) == \
+        construction(((2, 2), 0, 1), *links[:-1])
+
+
 def test_to_graph_banana():
     g = mel.to_graph(construction(((4,), 0, 1)))
     assert g.num_vertices == 2
@@ -173,12 +233,14 @@ def test_enumerate_max_edges_two():
 
 
 def test_enumerate_all_valid_reduced_canonical():
+    # 7 edges is the first bound where a cheaper subtree sorts after a
+    # dearer sibling, e.g. (1, 2) after (1, 1, 1, 1) on one banana
     seen = set()
-    for c in mel.enumerate_constructions(6):
+    for c in mel.enumerate_constructions(8):
         assert mel.validate(c) == []
         assert mel.is_reduced(c)
-        assert c.num_edges() <= 6
-        assert mel.canonical_construction(c) == c
+        assert c.num_edges() <= 8
+        assert mel.normalize(c) == c
         key = mel.serialize(c)
         assert key not in seen
         seen.add(key)
@@ -192,7 +254,7 @@ def test_enumerate_rejects_nonpositive():
 def test_canonical_sorts_siblings():
     a = construction(((3, 3), 0, 1), ((2, 2), 1, 1), ((1, 1), 1, 2))
     b = construction(((3, 3), 0, 1), ((1, 1), 1, 2), ((2, 2), 1, 1))
-    assert mel.canonical_key(a) == mel.canonical_key(b)
+    assert mel.normalize(a) == mel.normalize(b)
     assert mel.class_of(a).poly == mel.class_of(b).poly
 
 
