@@ -2,9 +2,10 @@
 
 The class of the complement of a graph hypersurface is represented as an
 integer polynomial in the class S of the projective line minus three
-points (with T = S + 1 and L = S + 2 as alternate bases).  Subpackages:
+points; the command line can print it in T = S + 1 or L = S + 2
+instead.  Subpackages:
 
-- poly: exact integer polynomial arithmetic and basis conversion
+- poly: exact integer polynomial arithmetic
 - families: the recursive polynomial families f, g, h, b and the
   necklace / clasped-necklace closed forms
 - melonic: melonic constructions, their graphs, and the recursive
@@ -14,8 +15,8 @@ points (with T = S + 1 and L = S + 2 as alternate bases).  Subpackages:
 - cli: command-line interface (entry point `melon`)
 """
 
-from .poly import Basis, ClassPoly, IntPoly
+from .poly import ClassPoly, IntPoly
 
-__all__ = ["Basis", "ClassPoly", "IntPoly"]
+__all__ = ["ClassPoly", "IntPoly"]
 
 __version__ = "0.1.0"

@@ -13,11 +13,10 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 from . import concavity, families, graphalg, melonic
 from .families import FamilyTag
-from .poly import Basis, ClassPoly, to_basis
+from .poly import ClassPoly, IntPoly, shift_var
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -27,33 +26,12 @@ EXIT_BUDGET = 4
 
 FAMILY_ORDER = (FamilyTag.F, FamilyTag.G, FamilyTag.H, FamilyTag.B)
 
-
-@dataclass(frozen=True)
-class TableRow:
-    m: int
-    coefficients: list[int]
-    verdict: bool
-    failing_degrees: list[int]
+# offset of each output variable from S, the library's one variable
+BASES = {"S": 0, "T": 1, "L": 2}
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    constructions_checked: int
-    edge_bound: int
-    counterexamples: list[dict]
-    elapsed: float
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"constructions_checked": self.constructions_checked,
-             "edge_bound": self.edge_bound,
-             "counterexamples": self.counterexamples,
-             "elapsed": self.elapsed},
-            indent=2)
-
-
-def _coeff_list(c: ClassPoly, basis: Basis) -> list[int]:
-    return list(to_basis(c, basis).poly.coeffs)
+def _coeff_list(p: IntPoly, basis: str) -> list[int]:
+    return list(shift_var(p, -BASES[basis]).coeffs)
 
 
 def _fmt_coeffs(coeffs: list[int]) -> str:
@@ -103,27 +81,26 @@ def _budget_arg(text: str) -> graphalg.CountBudget:
 
 def cmd_family(args: argparse.Namespace) -> int:
     tag = FamilyTag(args.family)
-    c = families.family_poly(tag, args.m, args.n)
-    print(_fmt_coeffs(_coeff_list(c, args.basis)))
+    p = families.family_poly(tag, args.m, args.n)
+    print(_fmt_coeffs(_coeff_list(p, args.basis)))
     return EXIT_OK
 
 
 def _table_rows(tag: FamilyTag, lo: int, hi: int,
-                which: str) -> list[TableRow]:
+                which: str) -> list[dict]:
     rows = []
     for m in range(lo, hi + 1):
-        coeffs = list(families.family_poly(tag, m).poly.coeffs)
-        shown = coeffs if coeffs else [0]
+        coeffs = families.family_poly(tag, m).coeffs
         if which == "ulc":
-            ok, fails = concavity.check_ulc(tuple(coeffs))
+            ok, fails = concavity.check_ulc(coeffs)
         else:
-            ok, fails = concavity.check_ulc_order(tuple(coeffs), max(m, 1))
-        rows.append(TableRow(m=m, coefficients=shown, verdict=ok,
-                             failing_degrees=list(fails)))
+            ok, fails = concavity.check_ulc_order(coeffs, max(m, 1))
+        rows.append({"m": m, "coefficients": list(coeffs) or [0],
+                     "verdict": ok, "failing_degrees": fails})
     return rows
 
 
-def _render_tables_md(tables: dict[str, list[TableRow]], which: str) -> str:
+def _render_tables_md(tables: dict[str, list[dict]], which: str) -> str:
     label = "ULC" if which == "ulc" else "ULC(m)"
     out = []
     for name, rows in tables.items():
@@ -131,10 +108,10 @@ def _render_tables_md(tables: dict[str, list[TableRow]], which: str) -> str:
         out.append("")
         cells = [["m", "coefficients", label, "failing degrees"]]
         for r in rows:
-            fail = ("{" + ",".join(str(d) for d in r.failing_degrees) + "}"
-                    if r.failing_degrees else "-")
-            cells.append([str(r.m), _fmt_coeffs(r.coefficients),
-                          "yes" if r.verdict else "no", fail])
+            fail = ("{" + ",".join(str(d) for d in r["failing_degrees"]) + "}"
+                    if r["failing_degrees"] else "-")
+            cells.append([str(r["m"]), _fmt_coeffs(r["coefficients"]),
+                          "yes" if r["verdict"] else "no", fail])
         widths = [max(len(row[i]) for row in cells) for i in range(4)]
         for i, row in enumerate(cells):
             out.append("| " + " | ".join(c.ljust(w)
@@ -151,12 +128,7 @@ def cmd_tables(args: argparse.Namespace) -> int:
               for tag in FAMILY_ORDER}
     if args.format == "json":
         payload = {"which": args.which, "m_lo": lo, "m_hi": hi,
-                   "families": {
-                       name: [{"m": r.m, "coefficients": r.coefficients,
-                               "verdict": r.verdict,
-                               "failing_degrees": r.failing_degrees}
-                              for r in rows]
-                       for name, rows in tables.items()}}
+                   "families": tables}
         print(json.dumps(payload, indent=2))
     else:
         print(_render_tables_md(tables, args.which))
@@ -194,8 +166,8 @@ def cmd_class(args: argparse.Namespace) -> int:
             print(f"invalid construction: {v}", file=sys.stderr)
         return EXIT_INVALID
     cls = melonic.class_of(c)
-    coeffs = _coeff_list(cls, args.basis)
-    payload: dict = {"coefficients": coeffs, "basis": args.basis.name}
+    coeffs = _coeff_list(cls.poly, args.basis)
+    payload: dict = {"coefficients": coeffs, "basis": args.basis}
     if args.format != "json":
         print(_fmt_coeffs(coeffs))
     exit_code = EXIT_OK
@@ -224,9 +196,9 @@ def cmd_necklace(args: argparse.Namespace) -> int:
         cls = families.clasped_necklace_class(args.m, args.n)
     else:
         cls = families.necklace_class(args.m, args.n)
-    coeffs = _coeff_list(cls, args.basis)
+    coeffs = _coeff_list(cls.poly, args.basis)
     payload: dict = {"kind": args.kind, "m": args.m, "n": args.n,
-                     "coefficients": coeffs, "basis": args.basis.name}
+                     "coefficients": coeffs, "basis": args.basis}
     if args.format != "json":
         print(_fmt_coeffs(coeffs))
     exit_code = EXIT_OK
@@ -274,12 +246,11 @@ def cmd_search(args: argparse.Namespace) -> int:
     counterexamples = [
         {"construction": melonic.to_json_dict(c), "failing_degrees": fails}
         for c, fails in bad]
-    result = SearchResult(
-        constructions_checked=len(constructions),
-        edge_bound=args.max_edges,
-        counterexamples=counterexamples,
-        elapsed=round(time.monotonic() - start, 3))
-    print(result.to_json())
+    print(json.dumps({"constructions_checked": len(constructions),
+                      "edge_bound": args.max_edges,
+                      "counterexamples": counterexamples,
+                      "elapsed": round(time.monotonic() - start, 3)},
+                     indent=2))
     return EXIT_OK
 
 
@@ -301,12 +272,12 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _basis_arg(text: str) -> Basis:
-    try:
-        return Basis[text.upper()]
-    except KeyError:
+def _basis_arg(text: str) -> str:
+    basis = text.upper()
+    if basis not in BASES:
         raise argparse.ArgumentTypeError(
-            f"basis must be S or T, got {text!r}") from None
+            f"basis must be S, T or L, got {text!r}")
+    return basis
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -320,9 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("family", help="print one family polynomial")
     p.add_argument("family", choices=[t.value for t in FAMILY_ORDER])
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, default=None,
+    p.add_argument("--n", type=_positive_int, default=None,
                    help="second parameter for g and b")
-    p.add_argument("--basis", type=_basis_arg, default=Basis.S)
+    p.add_argument("--basis", type=_basis_arg, default="S")
     p.set_defaults(func=cmd_family)
 
     p = sub.add_parser("tables", help="reproduce the concavity tables")
@@ -334,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("class", help="class of a construction JSON file")
     p.add_argument("construction", help="path to construction JSON")
-    p.add_argument("--basis", type=_basis_arg, default=Basis.S)
+    p.add_argument("--basis", type=_basis_arg, default="S")
     p.add_argument("--verify", type=_parse_primes, default=None,
                    help="comma-separated primes for point-count check")
     p.add_argument("--budget", type=_budget_arg, default=None)
@@ -345,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=["plain", "clasped"])
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--basis", type=_basis_arg, default=Basis.S)
+    p.add_argument("--basis", type=_basis_arg, default="S")
     p.add_argument("--verify", type=_parse_primes, nargs="?", const=[],
                    default=None,
                    help="cross-check against the construction recursion; "
@@ -380,9 +351,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "family" and args.m < 0:
         parser.error("--m must be >= 0")
-    if args.command == "family" and args.n is not None \
-            and args.family not in ("g", "b"):
-        parser.error("--n applies only to g and b")
+    if args.command == "family" and args.n is not None:
+        if args.family not in ("g", "b"):
+            parser.error("--n applies only to g and b")
+        if args.m == 0:
+            parser.error("--n needs --m >= 1")
     env = os.environ.get("MELON_BUDGET")
     # --budget wins over MELON_BUDGET; commands without --budget ignore it
     if getattr(args, "budget", 0) is None and env:

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .poly import Basis, ClassPoly, to_basis
-
 
 class OrderTooSmall(ValueError):
     """A nonzero coefficient sits above the requested ULC order."""
@@ -104,9 +102,9 @@ class ConcavityReport:
     all_positive: bool
 
 
-def analyze(c: ClassPoly, ulc_order: int | None = None) -> ConcavityReport:
-    """Run every check on the S-basis coefficient sequence of a class."""
-    coeffs = to_basis(c, Basis.S).poly.coeffs
+def analyze(coeffs: Sequence[int],
+            ulc_order: int | None = None) -> ConcavityReport:
+    """Run every check on one coefficient sequence."""
     lc, lc_fail = check_lc(coeffs)
     ulc, ulc_fail = check_ulc(coeffs)
     order_result = None

@@ -1,6 +1,6 @@
 """The four recursive polynomial families and the necklace closed forms.
 
-All four families live in the S basis and are generated exactly:
+All four families are polynomials in S, generated exactly:
 
     f_0 = 0,  f_{m+1} = (s+1) f_m + (-1)^m
     g_{m,n} = n (s+1)^{m-1} - f_m,   g_m = g_{m,m},  g_0 = 0
@@ -18,7 +18,7 @@ from __future__ import annotations
 from enum import Enum
 from math import comb
 
-from .poly import Basis, ClassPoly, IntPoly, ONE, ZERO, mul
+from .poly import ClassPoly, IntPoly, ONE, ZERO, mul
 
 S_PLUS_1 = IntPoly((1, 1))
 S_PLUS_2 = IntPoly((2, 1))
@@ -35,15 +35,6 @@ _f_cache: list[IntPoly] = [ZERO]
 _pow_cache: dict[IntPoly, list[IntPoly]] = {}
 
 
-def _f(m: int) -> IntPoly:
-    """f_m as a bare IntPoly, grown iteratively and cached."""
-    while len(_f_cache) <= m:
-        k = len(_f_cache) - 1
-        sign = 1 if k % 2 == 0 else -1
-        _f_cache.append(mul(_f_cache[k], S_PLUS_1) + IntPoly((sign,)))
-    return _f_cache[m]
-
-
 def _pow(p: IntPoly, k: int) -> IntPoly:
     """p^k, from one cached list of powers per base polynomial."""
     powers = _pow_cache.setdefault(p, [ONE])
@@ -52,24 +43,22 @@ def _pow(p: IntPoly, k: int) -> IntPoly:
     return powers[k]
 
 
-def _b(m: int) -> IntPoly:
-    if m == 0:
-        return ZERO
-    return m * _pow(S_PLUS_1, m - 1) + mul(S_PLUS_1, _f(m))
-
-
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise ValueError(msg)
 
 
-def f_poly(m: int) -> ClassPoly:
-    """f_m in the S basis; f_0 = 0, degree m-1 for m >= 2."""
+def f_poly(m: int) -> IntPoly:
+    """f_m, grown iteratively and cached; f_0 = 0, degree m-1 for m >= 2."""
     _require(m >= 0, "f_poly requires m >= 0")
-    return ClassPoly(_f(m), Basis.S)
+    while len(_f_cache) <= m:
+        k = len(_f_cache) - 1
+        sign = 1 if k % 2 == 0 else -1
+        _f_cache.append(mul(_f_cache[k], S_PLUS_1) + IntPoly((sign,)))
+    return _f_cache[m]
 
 
-def f_closed_form(m: int) -> ClassPoly:
+def f_closed_form(m: int) -> IntPoly:
     """f_m from the explicit binomial-sum formula.
 
     f_m(s) = sum_{j>=1} sum_{k=1}^{floor(m/2)} C(m-2k, j-1) s^j, plus a
@@ -84,47 +73,40 @@ def f_closed_form(m: int) -> ClassPoly:
         for j in range(top + 1):
             coeffs[j + 1] += c
             c = c * (top - j) // (j + 1)
-    return ClassPoly(IntPoly(coeffs), Basis.S)
+    return IntPoly(coeffs)
 
 
-def g_mn_poly(m: int, n: int) -> ClassPoly:
+def g_mn_poly(m: int, n: int) -> IntPoly:
     """g_{m,n} = n (s+1)^{m-1} - f_m."""
     _require(m >= 1 and n >= 1, "g_mn_poly requires m, n >= 1")
-    return ClassPoly(n * _pow(S_PLUS_1, m - 1) - _f(m), Basis.S)
+    return n * _pow(S_PLUS_1, m - 1) - f_poly(m)
 
 
-def g_poly(m: int) -> ClassPoly:
+def g_poly(m: int) -> IntPoly:
     """g_m = g_{m,m}; g_0 = 0."""
     _require(m >= 0, "g_poly requires m >= 0")
-    if m == 0:
-        return ClassPoly(ZERO, Basis.S)
-    return g_mn_poly(m, m)
+    return g_mn_poly(m, m) if m else ZERO
 
 
-def h_poly(m: int) -> ClassPoly:
+def h_poly(m: int) -> IntPoly:
     """h_m = (s+1) f_{m-1}; h_0 = 1."""
     _require(m >= 0, "h_poly requires m >= 0")
-    if m == 0:
-        return ClassPoly(ONE, Basis.S)
-    return ClassPoly(mul(S_PLUS_1, _f(m - 1)), Basis.S)
+    return mul(S_PLUS_1, f_poly(m - 1)) if m else ONE
 
 
-def b_mn_poly(m: int, n: int) -> ClassPoly:
+def b_mn_poly(m: int, n: int) -> IntPoly:
     """b_{m,n} = n (s+1)^{m-1} + (s+1) f_m."""
     _require(m >= 1 and n >= 1, "b_mn_poly requires m, n >= 1")
-    return ClassPoly(n * _pow(S_PLUS_1, m - 1) + mul(S_PLUS_1, _f(m)),
-                     Basis.S)
+    return n * _pow(S_PLUS_1, m - 1) + mul(S_PLUS_1, f_poly(m))
 
 
-def b_poly(m: int) -> ClassPoly:
+def b_poly(m: int) -> IntPoly:
     """The m-banana class b_m = b_{m,m}; b_0 = 0."""
     _require(m >= 0, "b_poly requires m >= 0")
-    if m == 0:
-        return ClassPoly(ZERO, Basis.S)
-    return ClassPoly(_b(m), Basis.S)
+    return b_mn_poly(m, m) if m else ZERO
 
 
-def family_poly(family: FamilyTag, m: int, n: int | None = None) -> ClassPoly:
+def family_poly(family: FamilyTag, m: int, n: int | None = None) -> IntPoly:
     """Dispatch to the family generator; n selects the two-parameter form."""
     if family is FamilyTag.F:
         return f_poly(m)
@@ -223,7 +205,7 @@ def coeff_closed_form(family: FamilyTag, m: int, n: int | None, k: int) -> int:
     return _exact_div(entry[0], entry[1])
 
 
-def p_mn_poly(m: int, n: int) -> ClassPoly:
+def p_mn_poly(m: int, n: int) -> IntPoly:
     """Cofactor polynomial of the clasped-necklace class.
 
     p_{m,n}(s) = (s+1)^{m-1} + sum_{k=0}^{m-2} (-1)^{m-2-k} (n+k-1) (s+1)^k.
@@ -235,7 +217,7 @@ def p_mn_poly(m: int, n: int) -> ClassPoly:
     for k in range(m - 1):
         sign = 1 if (m - 2 - k) % 2 == 0 else -1
         acc = acc + sign * (n + k - 1) * _pow(S_PLUS_1, k)
-    return ClassPoly(acc, Basis.S)
+    return acc
 
 
 def clasped_necklace_class(m: int, n: int) -> ClassPoly:
@@ -246,8 +228,8 @@ def clasped_necklace_class(m: int, n: int) -> ClassPoly:
     (s+1)(s+2) b_m^{n-2} p_{m,n}.  At n = 2 it collapses to b_{m+1}.
     """
     _require(m >= 1 and n >= 2, "clasped_necklace_class requires m >= 1, n >= 2")
-    acc = mul(mul(S_PLUS_1, S_PLUS_2), _pow(_b(m), n - 2))
-    return ClassPoly(mul(acc, p_mn_poly(m, n).poly), Basis.S)
+    acc = mul(mul(S_PLUS_1, S_PLUS_2), _pow(b_poly(m), n - 2))
+    return ClassPoly(mul(acc, p_mn_poly(m, n)))
 
 
 _necklace_memo: dict[tuple[int, int], IntPoly] = {}
@@ -259,15 +241,15 @@ def _necklace_by_recursion(m: int, n: int) -> IntPoly:
     U(G_{m,n}) = f_m U(G'_{m,n}) + g_m U(G_{m,n-1}) + h_m b_m^{n-1},
     grounded at U(G_{m,2}) = b_{2m} (a 2m-banana).
     """
-    f_m = _f(m)
-    g_m = g_poly(m).poly
-    h_m = h_poly(m).poly
-    b_m = _b(m)
+    f_m = f_poly(m)
+    g_m = g_poly(m)
+    h_m = h_poly(m)
+    b_m = b_poly(m)
     for j in range(2, n + 1):
         if (m, j) in _necklace_memo:
             continue
         if j == 2:
-            val = _b(2 * m)
+            val = b_poly(2 * m)
         else:
             val = (mul(f_m, clasped_necklace_class(m, j).poly)
                    + mul(g_m, _necklace_memo[(m, j - 1)])
@@ -285,9 +267,8 @@ def necklace_class(m: int, n: int) -> ClassPoly:
     """
     _require(m >= 1 and n >= 2, "necklace_class requires m >= 1, n >= 2")
     if m == 1:
-        return ClassPoly(mul(_b(2), _pow(S_PLUS_2, n - 2)), Basis.S)
+        return ClassPoly(mul(b_poly(2), _pow(S_PLUS_2, n - 2)))
     if m == 2:
         head = _pow(S_PLUS_1, n) + n * _pow(S_PLUS_1, n - 1) - ONE
-        return ClassPoly(mul(mul(head, _pow(S_PLUS_2, n - 1)), S_PLUS_1),
-                         Basis.S)
-    return ClassPoly(_necklace_by_recursion(m, n), Basis.S)
+        return ClassPoly(mul(mul(head, _pow(S_PLUS_2, n - 1)), S_PLUS_1))
+    return ClassPoly(_necklace_by_recursion(m, n))

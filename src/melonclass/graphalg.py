@@ -136,7 +136,10 @@ def _is_connected(num_vertices: int,
 
 
 def _require_connected(g: Multigraph) -> None:
-    if not _is_connected(g.num_vertices, g.edges):
+    # a connected graph has at most one vertex more than it has edges;
+    # checking that first keeps a huge vertex index from sizing the search
+    if (g.num_vertices > len(g.edges) + 1
+            or not _is_connected(g.num_vertices, g.edges)):
         raise DisconnectedGraph(
             f"graph with {g.num_vertices} vertices and "
             f"{len(g.edges)} edges is not connected")

@@ -21,7 +21,7 @@ from typing import Any, Iterator, NamedTuple
 
 from . import families as fam
 from .graphalg import Multigraph
-from .poly import Basis, ClassPoly, IntPoly, ONE, mul
+from .poly import ClassPoly, IntPoly, ONE, mul
 
 
 class Stage(NamedTuple):
@@ -147,7 +147,7 @@ def _class_rec(key: tuple[Stage, ...]) -> IntPoly:
     if n == 1:
         result = ONE
         for a in stages[0][0]:
-            result = mul(result, fam._b(a))
+            result = mul(result, fam.b_poly(a))
     else:
         tup, p, k = stages[-1]
         ptup, pp, pk = stages[p - 1]
@@ -181,17 +181,17 @@ def _class_rec(key: tuple[Stage, ...]) -> IntPoly:
             side = ONE
             for i, ai in enumerate(tup):
                 if i != m:
-                    side = mul(side, fam._b(ai))
-            result = (mul(fam._f(a), _class_rec(t_one))
-                      + mul(fam.g_poly(a).poly, _class_rec(t_del))
-                      + mul(mul(side, fam.h_poly(a).poly), _class_rec(t_cut)))
+                    side = mul(side, fam.b_poly(ai))
+            result = (mul(fam.f_poly(a), _class_rec(t_one))
+                      + mul(fam.g_poly(a), _class_rec(t_del))
+                      + mul(mul(side, fam.h_poly(a)), _class_rec(t_cut)))
 
     _class_memo[key] = result
     return result
 
 
 def class_of(c: MelonicConstruction) -> ClassPoly:
-    """Grothendieck class of the construction's graph, in the S basis.
+    """Grothendieck class of the construction's graph, a polynomial in S.
 
     Accepts any valid construction, reduced or not.  Dispatches on the
     last stage: a lone stage is a product of banana classes; a
@@ -201,7 +201,7 @@ def class_of(c: MelonicConstruction) -> ClassPoly:
     banana of the last stage (lowest index on ties).
     """
     _require_valid(c)
-    return ClassPoly(_class_rec(c.stages), Basis.S)
+    return ClassPoly(_class_rec(c.stages))
 
 
 def serialize(c: MelonicConstruction) -> str:

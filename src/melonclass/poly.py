@@ -1,4 +1,4 @@
-"""Exact dense integer polynomial arithmetic and basis-tagged class polynomials.
+"""Exact dense integer polynomial arithmetic and class polynomials in S.
 
 Coefficients are stored ascending by degree: index k holds the coefficient
 of x**k.  The zero polynomial is the empty tuple.  Everything here is exact
@@ -8,21 +8,7 @@ arbitrary-precision integer arithmetic; no floats anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable, Iterator
-
-
-class Basis(Enum):
-    """Variable bases for class polynomials: T = S + 1, L = S + 2."""
-
-    S = 0
-    T = 1
-    L = 2
-
-    @property
-    def offset(self) -> int:
-        """Offset of this basis variable relative to S."""
-        return self.value
 
 
 class IntPoly:
@@ -150,28 +136,10 @@ def eval_int(p: IntPoly, x: int) -> int:
 
 @dataclass(frozen=True)
 class ClassPoly:
-    """An IntPoly together with the basis its variable is expressed in."""
+    """The class of a graph: an IntPoly in S, where L = S + 2."""
 
     poly: IntPoly
-    basis: Basis = Basis.S
-
-    def in_basis(self, basis: Basis) -> "ClassPoly":
-        return to_basis(self, basis)
 
     def eval_at_field_size(self, q: int) -> int:
         """Value of the class when the affine-line class L is set to q."""
-        return eval_int(to_basis(self, Basis.S).poly, q - 2)
-
-    def __repr__(self) -> str:
-        return f"ClassPoly({list(self.poly.coeffs)!r}, {self.basis.name})"
-
-
-def to_basis(c: ClassPoly, basis: Basis) -> ClassPoly:
-    """Re-express the same class in another basis.
-
-    If x_old = S + a and x_new = S + b then p_new(x) = p_old(x + (a - b)).
-    """
-    if basis is c.basis:
-        return c
-    d = c.basis.offset - basis.offset
-    return ClassPoly(shift_var(c.poly, d), basis)
+        return eval_int(self.poly, q - 2)

@@ -19,7 +19,6 @@ import reference_tables
 import property_suites
 from melonclass import cli, concavity, families, graphalg, melonic
 from melonclass.families import FamilyTag
-from melonclass.poly import Basis, to_basis
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -47,7 +46,7 @@ def criterion(capsys):
 
 
 def _family_coeffs(name: str, m: int) -> tuple[int, ...]:
-    return families.family_poly(FamilyTag(name), m).poly.coeffs
+    return families.family_poly(FamilyTag(name), m).coeffs
 
 
 def _run_cli(capsys, argv: list[str]) -> str:
@@ -140,7 +139,7 @@ def test_criterion_06_coefficient_closed_forms(criterion):
     with criterion(6, 10.0, "closed-form coefficients k <= 4 for f, g, b, "
                             "m <= 200, n <= 50"):
         def coeff(c, k: int) -> int:
-            return c.poly.coeffs[k] if k < len(c.poly.coeffs) else 0
+            return c.coeffs[k] if k < len(c.coeffs) else 0
 
         for m in range(1, 201):
             f = families.f_poly(m)
@@ -161,7 +160,7 @@ def test_criterion_06_coefficient_closed_forms(criterion):
 def test_criterion_07_f_closed_form(criterion):
     with criterion(7, 5.0, "binomial-sum closed form of f_m, m = 1..200"):
         for m in range(1, 201):
-            assert families.f_closed_form(m).poly == families.f_poly(m).poly, m
+            assert families.f_closed_form(m) == families.f_poly(m), m
 
 
 def test_criterion_08_clasped_necklace_identity(criterion):
@@ -174,7 +173,7 @@ def test_criterion_08_clasped_necklace_identity(criterion):
                         == melonic.class_of(c).poly), (m, n)
         for m in range(2, 31):
             assert (families.clasped_necklace_class(m, 2).poly
-                    == families.b_poly(m + 1).poly), m
+                    == families.b_poly(m + 1)), m
 
 
 def test_criterion_09_clasped_necklace_lc(criterion):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from melonclass import cli
+from melonclass import cli, graphalg
 
 from conftest import src_env
 
@@ -50,6 +50,36 @@ def test_family_n_only_for_g_and_b(capsys):
         assert "--n applies only to g and b" in capsys.readouterr().err
     code, out = run_cli(capsys, "family", "b", "--m", "3", "--n", "2")
     assert code == 0 and out == "[3, 6, 4, 1]\n"
+
+
+def test_family_n_needs_positive_m_and_n(capsys):
+    for argv in (["g", "--m", "3", "--n", "0"], ["g", "--m", "0", "--n", "3"],
+                 ["b", "--m", "0", "--n", "3"], ["b", "--m", "2", "--n", "-1"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["family", *argv])
+        assert exc.value.code == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        # argparse prints its usage line, then the one-line reason
+        reasons = [ln for ln in captured.err.splitlines() if "error:" in ln]
+        assert len(reasons) == 1, captured.err
+        assert "Traceback" not in captured.err
+
+
+def test_family_basis_l(capsys):
+    # b_3 = s^3 + 5s^2 + 8s + 4 = L^2 (L - 1) with s = L - 2
+    code, out = run_cli(capsys, "family", "b", "--m", "3", "--basis", "L")
+    assert code == 0 and out == "[0, 0, -1, 1]\n"
+    # f_2 = s = T - 1 = L - 2; the basis name is case-insensitive
+    for basis, want in (("T", "[-1, 1]\n"), ("L", "[-2, 1]\n"),
+                        ("l", "[-2, 1]\n")):
+        code, out = run_cli(capsys, "family", "f", "--m", "2",
+                            "--basis", basis)
+        assert code == 0 and out == want, basis
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["family", "b", "--m", "3", "--basis", "Q"])
+    assert exc.value.code == 2
+    assert "basis must be S, T or L" in capsys.readouterr().err
 
 
 def test_tables_golden_bytes(capsys):
@@ -269,6 +299,21 @@ def test_oracle_errors(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["oracle", str(path), "--verify", "6"])
     assert exc.value.code == 2
+
+
+def test_oracle_rejects_too_many_vertices_before_connecting(tmp_path, capsys,
+                                                             monkeypatch):
+    # two edges cannot connect 10^12 + 1 vertices; say so without
+    # building per-vertex state
+    monkeypatch.setattr(graphalg, "_is_connected",
+                        lambda *args: pytest.fail("built per-vertex state"))
+    path = tmp_path / "g.txt"
+    path.write_text("0 1\n1 1000000000000\n")
+    assert cli.main(["oracle", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "not connected" in captured.err
 
 
 def test_env_budget(tmp_path, capsys):

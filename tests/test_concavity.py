@@ -5,7 +5,6 @@ import pytest
 
 from melonclass import concavity as cv
 from melonclass import families as fam
-from melonclass.poly import Basis, ClassPoly, IntPoly
 
 
 def test_lc_basics():
@@ -65,7 +64,7 @@ def test_ulc_order_infinity():
 
 def test_ulc_order_monotone_in_m():
     # ULC(m) implies ULC(m+1) for nonnegative sequences
-    seq = tuple(fam.b_poly(8).poly.coeffs)
+    seq = tuple(fam.b_poly(8).coeffs)
     for m in range(8, 20):
         ok, _ = cv.check_ulc_order(seq, m)
         assert ok
@@ -80,16 +79,16 @@ def test_unimodal_and_zeros():
 
 
 def test_published_examples():
-    assert cv.check_ulc(tuple(fam.f_poly(7).poly.coeffs)) == (False, [1, 3, 4, 5])
-    assert cv.check_ulc(tuple(fam.h_poly(10).poly.coeffs)) == \
+    assert cv.check_ulc(tuple(fam.f_poly(7).coeffs)) == (False, [1, 3, 4, 5])
+    assert cv.check_ulc(tuple(fam.h_poly(10).coeffs)) == \
         (False, [1, 2, 4, 5, 6, 7, 8])
-    assert cv.check_ulc(tuple(fam.b_poly(8).poly.coeffs)) == (True, [])
-    assert cv.check_ulc_order(tuple(fam.g_poly(6).poly.coeffs), 6) == (False, [1])
-    assert cv.check_ulc_order(tuple(fam.h_poly(7).poly.coeffs), 7) == (True, [])
+    assert cv.check_ulc(tuple(fam.b_poly(8).coeffs)) == (True, [])
+    assert cv.check_ulc_order(tuple(fam.g_poly(6).coeffs), 6) == (False, [1])
+    assert cv.check_ulc_order(tuple(fam.h_poly(7).coeffs), 7) == (True, [])
 
 
 def test_analyze_report():
-    rep = cv.analyze(fam.f_poly(10), ulc_order=10)
+    rep = cv.analyze(fam.f_poly(10).coeffs, ulc_order=10)
     assert rep.degree == 9
     assert rep.lc and not rep.lc_failures
     assert not rep.ulc and rep.ulc_failures == (2, 4, 5, 6, 7, 8)
@@ -97,10 +96,3 @@ def test_analyze_report():
     assert rep.unimodal and not rep.internal_zeros
     assert not rep.all_positive  # constant term of f_10 is 0
 
-
-def test_analyze_converts_basis_first():
-    # analysis must happen on the S-basis coefficients
-    c = ClassPoly(IntPoly((2, 3, 1)), Basis.S).in_basis(Basis.T)
-    rep = cv.analyze(c)
-    assert rep.degree == 2
-    assert rep.all_positive

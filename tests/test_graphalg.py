@@ -10,7 +10,7 @@ from melonclass import families as fam
 from melonclass import graphalg as ga
 from melonclass import melonic as mel
 from melonclass.graphalg import Multigraph
-from melonclass.poly import Basis, ClassPoly, IntPoly, eval_int
+from melonclass.poly import ClassPoly, IntPoly, eval_int
 
 from conftest import construction, src_env
 
@@ -147,7 +147,7 @@ def test_count_examples():
     assert ga.count_complement_points(banana(2), 3) == 6
     assert ga.count_complement_points(banana(1), 5) == 5
     assert ga.count_complement_points(banana(3), 2) == \
-        eval_int(fam.b_poly(3).poly, 0)
+        eval_int(fam.b_poly(3), 0)
 
 
 def test_count_methods_agree():
@@ -232,12 +232,13 @@ def test_count_budget():
 
 def test_verify_class_banana():
     for n in range(1, 8):
-        report = ga.verify_class(banana(n), fam.b_poly(n), [2, 3, 5])
+        report = ga.verify_class(banana(n), ClassPoly(fam.b_poly(n)),
+                                  [2, 3, 5])
         assert report.all_match
 
 
 def test_verify_class_detects_perturbation():
-    bad = ClassPoly(fam.b_poly(3).poly + IntPoly((1,)), Basis.S)
+    bad = ClassPoly(fam.b_poly(3) + IntPoly((1,)))
     report = ga.verify_class(banana(3), bad, [2, 3, 5])
     assert not report.all_match
     assert all(not c.match for c in report.checks)

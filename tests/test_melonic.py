@@ -177,13 +177,13 @@ def test_to_graph_rejects_invalid():
 def test_class_of_single_banana_rows():
     for m in range(1, 9):
         got = mel.class_of(construction(((m,), 0, 1)))
-        assert got.poly == fam.b_poly(m).poly
+        assert got.poly == fam.b_poly(m)
 
 
 def test_class_of_string_of_bananas():
     got = mel.class_of(construction(((2, 3, 2), 0, 1)))
-    expected = mul(mul(fam.b_poly(2).poly, fam.b_poly(3).poly),
-                   fam.b_poly(2).poly)
+    expected = mul(mul(fam.b_poly(2), fam.b_poly(3)),
+                   fam.b_poly(2))
     assert got.poly == expected
 
 

@@ -1,7 +1,7 @@
 import pytest
 
-from melonclass.poly import (Basis, ClassPoly, IntPoly, ZERO, add, eval_int,
-                             mul, shift_var, to_basis)
+from melonclass.poly import (ClassPoly, IntPoly, ZERO, add, eval_int, mul,
+                             shift_var)
 
 
 def test_canonical_form_strips_trailing_zeros():
@@ -70,34 +70,28 @@ def test_shift_var_is_substitution():
             assert eval_int(q, x) == eval_int(p, x + d)
 
 
-def test_basis_offsets():
-    assert Basis.S.offset == 0
-    assert Basis.T.offset == 1
-    assert Basis.L.offset == 2
-
-
 def test_to_basis_round_trip():
-    c = ClassPoly(IntPoly((0, 1)), Basis.S)  # f_2 = s
-    t = to_basis(c, Basis.T)
-    assert t.poly == IntPoly((-1, 1))  # s = T - 1
-    assert to_basis(t, Basis.S) == c
-    ell = to_basis(c, Basis.L)
-    assert ell.poly == IntPoly((-2, 1))
-    assert to_basis(ell, Basis.T).poly == IntPoly((-1, 1))
+    # s = T - 1 = L - 2, so a class in S moves to T or L by shifting -1, -2
+    s = IntPoly((0, 1))
+    t = shift_var(s, -1)
+    assert t == IntPoly((-1, 1))
+    assert shift_var(t, 1) == s
+    ell = shift_var(s, -2)
+    assert ell == IntPoly((-2, 1))
+    assert shift_var(ell, 1) == IntPoly((-1, 1))
+
+
+def test_value_preserved_across_bases():
+    p = IntPoly((3, 1, 4, 1, 5))
+    for offset in (1, 2):
+        moved = shift_var(p, -offset)
+        assert shift_var(moved, offset) == p
+        for q in (2, 3, 11):
+            assert eval_int(moved, q - 2 + offset) == eval_int(p, q - 2)
 
 
 def test_class_poly_eval_at_field_size():
     # b_2 = (s+1)(s+2) counts (q-1)q points
-    b2 = ClassPoly(IntPoly((2, 3, 1)), Basis.S)
+    b2 = ClassPoly(IntPoly((2, 3, 1)))
     for q in (2, 3, 5, 7):
         assert b2.eval_at_field_size(q) == (q - 1) * q
-    # the same class expressed in T must evaluate identically
-    assert to_basis(b2, Basis.T).eval_at_field_size(5) == 20
-
-
-def test_value_preserved_across_bases():
-    p = ClassPoly(IntPoly((3, 1, 4, 1, 5)), Basis.S)
-    for basis in (Basis.T, Basis.L):
-        moved = to_basis(p, basis)
-        for q in (2, 3, 11):
-            assert moved.eval_at_field_size(q) == p.eval_at_field_size(q)
