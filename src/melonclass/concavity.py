@@ -24,17 +24,9 @@ def check_lc(coeffs: Sequence[int]) -> tuple[bool, list[int]]:
 
 
 def check_ulc(coeffs: Sequence[int]) -> tuple[bool, list[int]]:
-    """Ultra log-concavity with respect to the sequence's own degree n.
-
-    Degree k fails when k(n-k) a_k^2 < (k+1)(n-k+1) a_{k-1} a_{k+1}.
-    """
-    n = len(coeffs) - 1
-    failures = [
-        k for k in range(1, n)
-        if k * (n - k) * coeffs[k] ** 2
-        < (k + 1) * (n - k + 1) * coeffs[k - 1] * coeffs[k + 1]
-    ]
-    return not failures, failures
+    """Ultra log-concavity with respect to the sequence's own degree n:
+    ULC(n), with order 1 for a constant or empty sequence."""
+    return check_ulc_order(coeffs, max(len(coeffs) - 1, 1))
 
 
 def check_ulc_order(coeffs: Sequence[int],

@@ -15,20 +15,10 @@ identity can be cross-checked by independent routes.
 
 from __future__ import annotations
 
-from enum import Enum
-from math import comb
-
 from .poly import ClassPoly, IntPoly, ONE, ZERO, mul
 
 S_PLUS_1 = IntPoly((1, 1))
 S_PLUS_2 = IntPoly((2, 1))
-
-
-class FamilyTag(Enum):
-    F = "f"
-    G = "g"
-    H = "h"
-    B = "b"
 
 
 _f_cache: list[IntPoly] = [ZERO]
@@ -106,39 +96,33 @@ def b_poly(m: int) -> IntPoly:
     return b_mn_poly(m, m) if m else ZERO
 
 
-def family_poly(family: FamilyTag, m: int, n: int | None = None) -> IntPoly:
-    """Dispatch to the family generator; n selects the two-parameter form."""
-    if family is FamilyTag.F:
+def family_poly(family: str, m: int, n: int | None = None) -> IntPoly:
+    """Dispatch on the family name "f", "g", "h" or "b"; n selects the
+    two-parameter form of g and b."""
+    if family == "f":
         return f_poly(m)
-    if family is FamilyTag.G:
+    if family == "g":
         return g_poly(m) if n is None else g_mn_poly(m, n)
-    if family is FamilyTag.H:
+    if family == "h":
         return h_poly(m)
-    if family is FamilyTag.B:
+    if family == "b":
         return b_poly(m) if n is None else b_mn_poly(m, n)
     raise ValueError(f"unknown family {family!r}")
 
 
-def _exact_div(num: int, den: int) -> int:
-    q, r = divmod(num, den)
-    if r:
-        raise AssertionError(f"non-exact division {num}/{den} in closed form")
-    return q
-
-
-def coeff_closed_form(family: FamilyTag, m: int, n: int | None, k: int) -> int:
+def coeff_closed_form(family: str, m: int, n: int | None, k: int) -> int:
     """Closed form for the degree-k coefficient, 0 <= k <= 4.
 
     Covers f_m (n ignored), g_{m,n}, and b_{m,n}, with separate formulas
     for odd and even m.  Returns 0 where k exceeds the degree.
     """
-    _require(family in (FamilyTag.F, FamilyTag.G, FamilyTag.B),
+    _require(family in ("f", "g", "b"),
              "closed-form coefficients exist only for families f, g, b")
     _require(m >= 1, "coeff_closed_form requires m >= 1")
     _require(0 <= k <= 4, "closed-form coefficients cover only degrees 0..4")
     odd = m % 2 == 1
 
-    if family is FamilyTag.F:
+    if family == "f":
         if odd:
             table = (
                 1,
@@ -159,7 +143,7 @@ def coeff_closed_form(family: FamilyTag, m: int, n: int | None, k: int) -> int:
         _require(n is not None and n >= 1,
                  "families g and b need the second parameter n >= 1")
         assert n is not None
-        if family is FamilyTag.G:
+        if family == "g":
             if odd:
                 table = (
                     n - 1,
@@ -202,7 +186,10 @@ def coeff_closed_form(family: FamilyTag, m: int, n: int | None, k: int) -> int:
     entry = table[k]
     if isinstance(entry, int):
         return entry
-    return _exact_div(entry[0], entry[1])
+    q, r = divmod(*entry)
+    if r:
+        raise AssertionError(f"non-exact division {entry} in closed form")
+    return q
 
 
 def p_mn_poly(m: int, n: int) -> IntPoly:

@@ -13,11 +13,16 @@ independent check on every class this package computes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .poly import ClassPoly
+
+
+def _is_int(value: object) -> bool:
+    """A Python integer that is not a bool; nothing is converted."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -32,16 +37,13 @@ class Multigraph:
     def __post_init__(self) -> None:
         if self.num_vertices < 1:
             raise ValueError("graph needs at least one vertex")
-        edges = tuple((int(u), int(v)) for u, v in self.edges)
+        edges = tuple((u, v) for u, v in self.edges)
         for u, v in edges:
+            if not (_is_int(u) and _is_int(v)):
+                raise ValueError(f"edge ({u!r}, {v!r}) needs integer endpoints")
             if not (0 <= u < self.num_vertices and 0 <= v < self.num_vertices):
                 raise ValueError(f"edge ({u}, {v}) out of vertex range")
         object.__setattr__(self, "edges", edges)
-
-    def sorted_edge_key(self) -> tuple[int, tuple[tuple[int, int], ...]]:
-        """Order-insensitive identity of the labeled graph."""
-        return (self.num_vertices,
-                tuple(sorted((min(u, v), max(u, v)) for u, v in self.edges)))
 
 
 class DisconnectedGraph(ValueError):
@@ -65,9 +67,6 @@ class CountBudget:
     def __post_init__(self) -> None:
         if self.max_points < 1:
             raise ValueError("budget must allow at least one point")
-
-
-DEFAULT_BUDGET = CountBudget()
 
 
 def from_edge_list(text: str) -> Multigraph:
@@ -97,35 +96,20 @@ def from_edge_list(text: str) -> Multigraph:
     return Multigraph(num_vertices, tuple(edges))
 
 
-def to_edge_list(g: Multigraph) -> str:
-    return "\n".join(f"{u} {v}" for u, v in g.edges) + "\n"
-
-
-class _UnionFind:
-    def __init__(self, nodes) -> None:
-        self.parent = {x: x for x in nodes}
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x: int, y: int) -> bool:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        self.parent[ry] = rx
-        return True
-
-
 def _components(nodes, edges) -> int:
-    uf = _UnionFind(nodes)
-    count = len(uf.parent)
+    """Number of connected components, by union-find with path halving."""
+    parent = {x: x for x in nodes}
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    count = len(parent)
     for u, v in edges:
-        if uf.union(u, v):
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[rv] = ru
             count -= 1
     return count
 
@@ -188,31 +172,14 @@ def spanning_trees(g: Multigraph) -> list[frozenset[int]]:
     return trees
 
 
-@dataclass(frozen=True)
-class KirchhoffPoly:
+def kirchhoff_polynomial(g: Multigraph) -> frozenset[frozenset[int]]:
     """Monomial-set form of Psi: one edge-index subset per spanning tree,
     the complement of the tree."""
-
-    monomials: frozenset[frozenset[int]]
-    num_edges: int
-
-    def __post_init__(self) -> None:
-        degrees = {len(m) for m in self.monomials}
-        if len(degrees) > 1:
-            raise ValueError("Kirchhoff polynomial must be homogeneous")
-
-    @property
-    def degree(self) -> int:
-        for m in self.monomials:
-            return len(m)
-        return 0
-
-
-def kirchhoff_polynomial(g: Multigraph) -> KirchhoffPoly:
-    trees = spanning_trees(g)
     all_edges = frozenset(range(len(g.edges)))
-    monomials = frozenset(all_edges - tree for tree in trees)
-    return KirchhoffPoly(monomials, len(g.edges))
+    monomials = frozenset(all_edges - tree for tree in spanning_trees(g))
+    if len({len(m) for m in monomials}) > 1:
+        raise ValueError("Kirchhoff polynomial must be homogeneous")
+    return monomials
 
 
 def _is_prime(q: int) -> bool:
@@ -270,8 +237,7 @@ def _count_dp(edges: tuple[tuple[int, int], ...], q: int) -> int:
 def _count_direct(g: Multigraph, q: int) -> int:
     """Reference method: evaluate the monomial set at every point of
     F_q^|E| in fixed disjoint index ranges."""
-    kp = kirchhoff_polynomial(g)
-    monos = [sorted(m) for m in sorted(kp.monomials, key=sorted)]
+    monos = sorted(sorted(m) for m in kirchhoff_polynomial(g))
     n = len(g.edges)
     total = q ** n
     strides = [q ** i for i in range(n)]
@@ -301,7 +267,7 @@ def count_complement_points(g: Multigraph, q: int,
     if not _is_prime(q):
         raise NonPrimeModulus(f"{q} is not prime")
     if budget is None:
-        budget = DEFAULT_BUDGET
+        budget = CountBudget()
     size = q ** len(g.edges)
     if size > budget.max_points:
         raise BudgetExceeded(
@@ -315,33 +281,14 @@ def count_complement_points(g: Multigraph, q: int,
     raise ValueError(f"unknown counting method {method!r}")
 
 
-@dataclass(frozen=True)
-class PrimeCheck:
-    q: int
-    counted: int
-    expected: int
-
-    @property
-    def match(self) -> bool:
-        return self.counted == self.expected
-
-
-@dataclass(frozen=True)
-class VerifyReport:
-    checks: tuple[PrimeCheck, ...] = field(default_factory=tuple)
-
-    @property
-    def all_match(self) -> bool:
-        return all(c.match for c in self.checks)
-
-
 def verify_class(g: Multigraph, c: ClassPoly, primes: list[int],
-                 budget: CountBudget | None = None) -> VerifyReport:
+                 budget: CountBudget | None = None) -> list[dict]:
     """Count complement points at each prime and compare with the class
-    evaluated at S = q - 2."""
-    checks = []
+    evaluated at S = q - 2; one {q, counted, expected, match} row a prime."""
+    rows = []
     for q in primes:
         counted = count_complement_points(g, q, budget=budget)
         expected = c.eval_at_field_size(q)
-        checks.append(PrimeCheck(q=q, counted=counted, expected=expected))
-    return VerifyReport(tuple(checks))
+        rows.append({"q": q, "counted": counted, "expected": expected,
+                     "match": counted == expected})
+    return rows

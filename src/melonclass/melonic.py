@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Any, Iterator, NamedTuple
 
 from . import families as fam
-from .graphalg import Multigraph
+from .graphalg import Multigraph, _is_int
 from .poly import ClassPoly, IntPoly, ONE, mul
 
 
@@ -220,24 +220,34 @@ Node = tuple[tuple[int, ...], tuple[tuple["Node", ...], ...]]
 
 def _to_tree(c: MelonicConstruction) -> Node:
     """Tree of c with strings on size-1 bananas spliced into their parents
-    and siblings sorted; built from the last stage back, since a parent
-    always comes before its children."""
+    and siblings sorted.  Built from the last stage back, since a parent
+    always comes before its children; each node's tuple is built once, by
+    walking the strings spliced into it in order."""
+    stages = c.stages
     kids: list[list[list[Node]]] = [[[] for _ in st.bananas]
-                                    for st in c.stages]
-    for idx in range(len(c.stages) - 1, -1, -1):
-        st = c.stages[idx]
+                                    for st in stages]
+    # (stage, slot) of a size-1 banana -> the stage spliced in there
+    splice: dict[tuple[int, int], int] = {}
+    for idx in range(len(stages) - 1, -1, -1):
+        p, k = stages[idx].parent_stage - 1, stages[idx].parent_banana - 1
+        if idx and stages[p].bananas[k] == 1:
+            splice[(p, k)] = idx
+            continue
         tup: list[int] = []
         forest: list[tuple[Node, ...]] = []
-        for a, slot in zip(st.bananas, kids[idx]):
-            if a == 1 and slot:
-                tup.extend(slot[0][0])
-                forest.extend(slot[0][1])
-            else:
-                tup.append(a)
-                forest.append(tuple(sorted(slot)))
+        walk = [(idx, 0)]
+        while walk:
+            i, j = walk.pop()
+            if j < len(stages[i].bananas):
+                walk.append((i, j + 1))
+                if (i, j) in splice:
+                    walk.append((splice[(i, j)], 0))
+                else:
+                    tup.append(stages[i].bananas[j])
+                    forest.append(tuple(sorted(kids[i][j])))
         node = (tuple(tup), tuple(forest))
         if idx:
-            kids[st.parent_stage - 1][st.parent_banana - 1].append(node)
+            kids[p][k].append(node)
     return node
 
 
@@ -347,10 +357,6 @@ def to_json_dict(c: MelonicConstruction) -> dict[str, Any]:
                         "parent_stage": st.parent_stage,
                         "parent_banana": st.parent_banana}
                        for st in c.stages]}
-
-
-def _is_int(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def from_json_dict(data: Any) -> MelonicConstruction:

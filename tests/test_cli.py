@@ -153,6 +153,17 @@ def test_class_invalid_construction(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert "stage 1" in err
+    # every violation is reported, on one line
+    path = _write_construction(tmp_path, [
+        {"bananas": [], "parent_stage": 1, "parent_banana": 2},
+        {"bananas": [0], "parent_stage": 5, "parent_banana": 1}])
+    code = cli.main(["class", path])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: invalid melonic construction: ")
+    assert err.count("; ") == 4
 
 
 def test_class_malformed_json(tmp_path, capsys):

@@ -82,31 +82,28 @@ def test_spanning_trees_disconnected():
 
 
 def test_kirchhoff_banana():
-    kp = ga.kirchhoff_polynomial(banana(3))
-    assert kp.monomials == frozenset(
+    monomials = ga.kirchhoff_polynomial(banana(3))
+    assert monomials == frozenset(
         {frozenset({0, 1}), frozenset({0, 2}), frozenset({1, 2})})
-    assert kp.degree == 2
 
 
 def test_kirchhoff_homogeneous_of_betti_degree():
     for c in itertools.islice(mel.enumerate_constructions(6), 0, 238, 7):
         g = mel.to_graph(c)
-        kp = ga.kirchhoff_polynomial(g)
+        monomials = ga.kirchhoff_polynomial(g)
         betti = len(g.edges) - g.num_vertices + 1
-        assert {len(m) for m in kp.monomials} <= {betti}
-        assert len(kp.monomials) == len(ga.spanning_trees(g))
+        assert {len(m) for m in monomials} <= {betti}
+        assert len(monomials) == len(ga.spanning_trees(g))
 
 
 def test_kirchhoff_loop_variable_in_every_monomial():
     g = Multigraph(2, ((0, 1), (0, 1), (1, 1)))
-    kp = ga.kirchhoff_polynomial(g)
-    assert all(2 in m for m in kp.monomials)
+    assert all(2 in m for m in ga.kirchhoff_polynomial(g))
 
 
 def _psi_eval(g: Multigraph, point: dict[int, int], q: int) -> int:
-    kp = ga.kirchhoff_polynomial(g)
     total = 0
-    for mono in kp.monomials:
+    for mono in ga.kirchhoff_polynomial(g):
         term = 1
         for i in mono:
             term = term * point[i] % q
@@ -232,24 +229,25 @@ def test_count_budget():
 
 def test_verify_class_banana():
     for n in range(1, 8):
-        report = ga.verify_class(banana(n), ClassPoly(fam.b_poly(n)),
-                                  [2, 3, 5])
-        assert report.all_match
+        rows = ga.verify_class(banana(n), ClassPoly(fam.b_poly(n)),
+                               [2, 3, 5])
+        assert all(row["match"] for row in rows)
+        assert all(row["counted"] == row["expected"] for row in rows)
 
 
 def test_verify_class_detects_perturbation():
     bad = ClassPoly(fam.b_poly(3) + IntPoly((1,)))
-    report = ga.verify_class(banana(3), bad, [2, 3, 5])
-    assert not report.all_match
-    assert all(not c.match for c in report.checks)
-    assert [c.q for c in report.checks] == [2, 3, 5]
+    rows = ga.verify_class(banana(3), bad, [2, 3, 5])
+    assert [row["q"] for row in rows] == [2, 3, 5]
+    assert all(not row["match"] for row in rows)
+    assert all(row["counted"] + 1 == row["expected"] for row in rows)
 
 
 def test_edge_list_round_trip():
     text = "0 1\n1 2\n2 0\n1 1\n"
     g = ga.from_edge_list(text)
     assert g.num_vertices == 3
-    assert ga.to_edge_list(g) == text
+    assert "".join(f"{u} {v}\n" for u, v in g.edges) == text
 
 
 def test_edge_list_comments_and_errors():

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import time
 
 import pytest
 
@@ -150,6 +151,18 @@ def test_normalize_deep_chain():
         construction(((2, 2), 0, 1), *links[:-1])
 
 
+def test_normalize_long_splice_chain():
+    # each link sits on the lone edge of the one before, so all of them
+    # splice into stage 1; copying the tuple at every level would make
+    # this quadratic in the chain length
+    n = 20000
+    c = construction(*(((1, 2), i, 1) for i in range(n)))
+    start = time.perf_counter()
+    normal = mel.normalize(c)
+    assert time.perf_counter() - start < 3
+    assert normal == construction(((1,) + (2,) * n, 0, 1))
+
+
 def test_to_graph_banana():
     g = mel.to_graph(construction(((4,), 0, 1)))
     assert g.num_vertices == 2
@@ -286,5 +299,9 @@ def test_multigraph_validation():
         mel.Multigraph(2, ((0, 5),))
     with pytest.raises(ValueError):
         mel.Multigraph(0, ())
-    g = mel.Multigraph(2, ((1, 0), (0, 1)))
-    assert g.sorted_edge_key() == (2, ((0, 1), (0, 1)))
+    g = mel.Multigraph(2, [[1, 0], (0, 1)])
+    assert g.edges == ((1, 0), (0, 1))
+    # endpoints are taken as given, never truncated or converted
+    for bad in ((0, 1.7), (True, 1), ("1", 0)):
+        with pytest.raises(ValueError, match="edge"):
+            mel.Multigraph(3, ((0, 1), bad))
