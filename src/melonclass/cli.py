@@ -74,10 +74,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _budget_arg(text: str) -> graphalg.CountBudget:
-    return graphalg.CountBudget(_positive_int(text))
-
-
 def cmd_family(args: argparse.Namespace) -> int:
     p = families.family_poly(args.family, args.m, args.n)
     print(_fmt_coeffs(_coeff_list(p, args.basis)))
@@ -219,13 +215,15 @@ def _search_chunk(constructions: list[melonic.MelonicConstruction]
 def cmd_search(args: argparse.Namespace) -> int:
     start = time.monotonic()
     constructions = list(melonic.enumerate_constructions(args.max_edges))
-    workers = args.workers
+    # never more chunks than constructions, nor processes than CPUs
+    workers = min(args.workers, len(constructions))
     if workers == 1:
         bad = _search_chunk(constructions)
     else:
         chunks = [constructions[i::workers] for i in range(workers)]
         bad = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        processes = min(workers, os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             for part in pool.map(_search_chunk, chunks):
                 bad.extend(part)
     bad.sort(key=lambda item: melonic.serialize(item[0]))
@@ -294,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--basis", type=_basis_arg, default="S")
     p.add_argument("--verify", type=_parse_primes, default=None,
                    help="comma-separated primes for point-count check")
-    p.add_argument("--budget", type=_budget_arg, default=None)
+    p.add_argument("--budget", type=_positive_int, default=None)
     p.add_argument("--format", choices=["json", "md"], default="md")
     p.set_defaults(func=cmd_class)
 
@@ -307,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=None,
                    help="cross-check against the construction recursion; "
                         "with primes, also against point counts")
-    p.add_argument("--budget", type=_budget_arg, default=None)
+    p.add_argument("--budget", type=_positive_int, default=None)
     p.add_argument("--format", choices=["json", "md"], default="md")
     p.set_defaults(func=cmd_necklace)
 
@@ -324,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph", help="path to edge-list file, one 'u v' per line")
     p.add_argument("--verify", type=_parse_primes, default=None,
                    help="primes to count at (default 2,3,5)")
-    p.add_argument("--budget", type=_budget_arg, default=None)
+    p.add_argument("--budget", type=_positive_int, default=None)
     p.add_argument("--format", choices=["json", "md"], default="md")
     p.set_defaults(func=cmd_oracle)
 
@@ -346,7 +344,7 @@ def main(argv: list[str] | None = None) -> int:
     # --budget wins over MELON_BUDGET; commands without --budget ignore it
     if getattr(args, "budget", 0) is None and env:
         try:
-            args.budget = _budget_arg(env)
+            args.budget = _positive_int(env)
         except argparse.ArgumentTypeError as exc:
             print(f"error: MELON_BUDGET: {exc}", file=sys.stderr)
             return EXIT_USAGE

@@ -13,6 +13,7 @@ independent check on every class this package computes.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,27 +24,6 @@ from .poly import ClassPoly
 def _is_int(value: object) -> bool:
     """A Python integer that is not a bool; nothing is converted."""
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-@dataclass(frozen=True)
-class Multigraph:
-    """Vertices 0..num_vertices-1 and an ordered multiset of undirected
-    edges; loops and parallel edges allowed.  Edge order fixes the
-    variable order of the Kirchhoff polynomial."""
-
-    num_vertices: int
-    edges: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        if self.num_vertices < 1:
-            raise ValueError("graph needs at least one vertex")
-        edges = tuple((u, v) for u, v in self.edges)
-        for u, v in edges:
-            if not (_is_int(u) and _is_int(v)):
-                raise ValueError(f"edge ({u!r}, {v!r}) needs integer endpoints")
-            if not (0 <= u < self.num_vertices and 0 <= v < self.num_vertices):
-                raise ValueError(f"edge ({u}, {v}) out of vertex range")
-        object.__setattr__(self, "edges", edges)
 
 
 class DisconnectedGraph(ValueError):
@@ -58,15 +38,50 @@ class BudgetExceeded(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class CountBudget:
-    """Cap on the q^|E| point-space size enumerated by one count."""
+def _components(nodes, edges) -> int:
+    """Number of connected components, by union-find with path halving."""
+    parent = {x: x for x in nodes}
 
-    max_points: int = 10 ** 8
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    count = len(parent)
+    for u, v in edges:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[rv] = ru
+            count -= 1
+    return count
+
+
+@dataclass(frozen=True)
+class Multigraph:
+    """A connected graph on vertices 0..num_vertices-1 with an ordered
+    multiset of undirected edges; loops and parallel edges allowed.  Edge
+    order fixes the variable order of the Kirchhoff polynomial."""
+
+    num_vertices: int
+    edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if self.max_points < 1:
-            raise ValueError("budget must allow at least one point")
+        n = self.num_vertices
+        if not (_is_int(n) and n >= 1):
+            raise ValueError(f"graph needs a positive integer number of "
+                             f"vertices, got {n!r}")
+        edges = tuple((u, v) for u, v in self.edges)
+        for u, v in edges:
+            if not (_is_int(u) and _is_int(v)):
+                raise ValueError(f"edge ({u!r}, {v!r}) needs integer endpoints")
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u}, {v}) out of vertex range")
+        # a connected graph has at most one vertex more than it has edges;
+        # checking that first keeps a huge vertex index from sizing the search
+        if n > len(edges) + 1 or _components(range(n), edges) > 1:
+            raise DisconnectedGraph(f"graph with {n} vertices and "
+                                    f"{len(edges)} edges is not connected")
+        object.__setattr__(self, "edges", edges)
 
 
 def from_edge_list(text: str) -> Multigraph:
@@ -96,80 +111,13 @@ def from_edge_list(text: str) -> Multigraph:
     return Multigraph(num_vertices, tuple(edges))
 
 
-def _components(nodes, edges) -> int:
-    """Number of connected components, by union-find with path halving."""
-    parent = {x: x for x in nodes}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
-    count = len(parent)
-    for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[rv] = ru
-            count -= 1
-    return count
-
-
-def _is_connected(num_vertices: int,
-                  edges: tuple[tuple[int, int], ...]) -> bool:
-    return _components(range(num_vertices), edges) == 1
-
-
-def _require_connected(g: Multigraph) -> None:
-    # a connected graph has at most one vertex more than it has edges;
-    # checking that first keeps a huge vertex index from sizing the search
-    if (g.num_vertices > len(g.edges) + 1
-            or not _is_connected(g.num_vertices, g.edges)):
-        raise DisconnectedGraph(
-            f"graph with {g.num_vertices} vertices and "
-            f"{len(g.edges)} edges is not connected")
-
-
 def spanning_trees(g: Multigraph) -> list[frozenset[int]]:
-    """All spanning trees, each as a frozenset of edge indices.
-
-    Recursive contraction-deletion on the first non-loop edge: a tree
-    either uses the edge (contract it) or not (delete it, allowed only
-    when the rest still connects, i.e. the edge is not a bridge).
-    """
-    _require_connected(g)
-
-    trees: list[frozenset[int]] = []
-
-    def rec(items: list[tuple[int, int, int]], merged: dict[int, int],
-            chosen: tuple[int, ...]) -> None:
-        # items: (edge index, u, v) with endpoints under the current merge
-        def root(x: int) -> int:
-            while merged.get(x, x) != x:
-                x = merged.get(x, x)
-            return x
-
-        live = []
-        vertices = set()
-        for eid, u, v in items:
-            ru, rv = root(u), root(v)
-            if ru != rv:
-                live.append((eid, ru, rv))
-                vertices.add(ru)
-                vertices.add(rv)
-        if not vertices:
-            trees.append(frozenset(chosen))
-            return
-        eid, u, v = live[0]
-        # include: contract the edge
-        rec(live[1:], {**merged, v: u}, chosen + (eid,))
-        # exclude: legal only if the remaining edges still connect
-        rest = live[1:]
-        if _components(vertices, [(ru, rv) for _, ru, rv in rest]) == 1:
-            rec(rest, merged, chosen)
-
-    items = [(i, u, v) for i, (u, v) in enumerate(g.edges)]
-    rec(items, {}, ())
-    return trees
+    """All spanning trees, each as a frozenset of edge indices: the sets
+    of num_vertices - 1 edges that connect every vertex."""
+    n = g.num_vertices
+    return [frozenset(tree)
+            for tree in itertools.combinations(range(len(g.edges)), n - 1)
+            if _components(range(n), [g.edges[i] for i in tree]) == 1]
 
 
 def kirchhoff_polynomial(g: Multigraph) -> frozenset[frozenset[int]]:
@@ -256,24 +204,23 @@ def _count_direct(g: Multigraph, q: int) -> int:
 
 
 def count_complement_points(g: Multigraph, q: int,
-                            budget: CountBudget | None = None,
+                            budget: int | None = None,
                             method: str = "dp") -> int:
     """Exact #{t in F_q^|E| : Psi(t) != 0}.
 
     method "dp" tabulates Psi by contraction-deletion (fast), "direct"
     evaluates the spanning-tree monomials point by point (simple); both
-    are exact and are cross-checked in the test suite.
+    are exact and are cross-checked in the test suite.  budget caps the
+    q^|E| points enumerated; None means 10**8.
     """
     if not _is_prime(q):
         raise NonPrimeModulus(f"{q} is not prime")
     if budget is None:
-        budget = CountBudget()
+        budget = 10 ** 8
     size = q ** len(g.edges)
-    if size > budget.max_points:
+    if size > budget:
         raise BudgetExceeded(
-            f"{q}^{len(g.edges)} = {size} points exceeds budget "
-            f"{budget.max_points}")
-    _require_connected(g)
+            f"{q}^{len(g.edges)} = {size} points exceeds budget {budget}")
     if method == "dp":
         return _count_dp(g.edges, q)
     if method == "direct":
@@ -282,7 +229,7 @@ def count_complement_points(g: Multigraph, q: int,
 
 
 def verify_class(g: Multigraph, c: ClassPoly, primes: list[int],
-                 budget: CountBudget | None = None) -> list[dict]:
+                 budget: int | None = None) -> list[dict]:
     """Count complement points at each prime and compare with the class
     evaluated at S = q - 2; one {q, counted, expected, match} row a prime."""
     rows = []

@@ -6,9 +6,11 @@ whose sizes are the tuple b_s.  Stage 0 is the initial single edge.  Indices
 are 1-based to match that reading: parent_stage 0 means the root edge, and
 parent_banana counts entries of the parent tuple from 1.
 
-A construction is reduced when no stage replaces an edge of a size-1 banana
-created in stage 1 or later; such a stage describes the same graph as its
-string spliced into the parent tuple.  The class algorithm accepts any valid
+A construction is reduced when no stage after the first holds a single
+banana, and none replaces an edge of a size-1 banana created in stage 1 or
+later.  A single banana of size a only widens its parent slot by a - 1, and
+a stage on a size-1 banana describes the same graph as its string spliced
+into the parent tuple.  The class algorithm accepts any valid
 construction and splices as it recurses.  `normalize` gives the canonical
 form: reduced, sibling subtrees sorted, stages numbered depth-first.
 """
@@ -99,8 +101,11 @@ def _require_valid(c: MelonicConstruction) -> None:
 
 
 def is_reduced(c: MelonicConstruction) -> bool:
-    """True when no stage targets a size-1 banana made after stage 0."""
+    """True when no stage after the first is a single banana, and no
+    stage targets a size-1 banana made after stage 0."""
     for st in c.stages[1:]:
+        if len(st.bananas) == 1:
+            return False
         if st.parent_stage >= 1:
             parent = c.stages[st.parent_stage - 1]
             if parent.bananas[st.parent_banana - 1] == 1:
@@ -219,11 +224,13 @@ Node = tuple[tuple[int, ...], tuple[tuple["Node", ...], ...]]
 
 
 def _to_tree(c: MelonicConstruction) -> Node:
-    """Tree of c with strings on size-1 bananas spliced into their parents
-    and siblings sorted.  Built from the last stage back, since a parent
+    """Tree of c with strings on size-1 bananas spliced into their parents,
+    later single-banana stages merged into their parent slots, and
+    siblings sorted.  Built from the last stage back, since a parent
     always comes before its children; each node's tuple is built once, by
     walking the strings spliced into it in order."""
     stages = c.stages
+    sizes = [list(st.bananas) for st in stages]
     kids: list[list[list[Node]]] = [[[] for _ in st.bananas]
                                     for st in stages]
     # (stage, slot) of a size-1 banana -> the stage spliced in there
@@ -243,8 +250,13 @@ def _to_tree(c: MelonicConstruction) -> Node:
                 if (i, j) in splice:
                     walk.append((splice[(i, j)], 0))
                 else:
-                    tup.append(stages[i].bananas[j])
+                    tup.append(sizes[i][j])
                     forest.append(tuple(sorted(kids[i][j])))
+        if idx and len(tup) == 1:
+            # a single banana of size a widens the parent slot by a - 1
+            sizes[p][k] += tup[0] - 1
+            kids[p][k].extend(forest[0])
+            continue
         node = (tuple(tup), tuple(forest))
         if idx:
             kids[p][k].append(node)

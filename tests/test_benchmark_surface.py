@@ -17,16 +17,16 @@ from conftest import src_env
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _load_tracer():
+def _load_benchmark(name: str):
     spec = importlib.util.spec_from_file_location(
-        "benchmark_tracer", ROOT / "benchmarks" / "tracer.py")
+        f"benchmark_{name}", ROOT / "benchmarks" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_tracer_wraps_and_restores_every_traced_name():
-    tracer = _load_tracer().Tracer()
+    tracer = _load_benchmark("tracer").Tracer()
     try:
         tracer.install()
         saved = list(tracer._saved)
@@ -39,6 +39,22 @@ def test_tracer_wraps_and_restores_every_traced_name():
         assert getattr(owner, attr) is fn, attr
     # read by the tracer's metrics, which skip it silently when absent
     assert isinstance(melonic._class_memo, dict)
+
+
+def test_oracle_counts_match_the_direct_method(tmp_path):
+    # the benchmark's untimed check: the CLI's q = 2 counts against the
+    # spanning-tree reference, on the first (9 edges, 4 vertices) cell,
+    # half of whose graphs have a K4 minor
+    workloads = _load_benchmark("workloads")
+    oracle = workloads.Oracle(1, str(tmp_path))
+    items = oracle.items[:20]
+    assert sum(map(workloads.has_k4_minor, oracle.graphs[:20])) == 10
+    outputs = []
+    for path in items:
+        out, problem = oracle.run_item(path)
+        assert problem is None, (path, problem)
+        outputs.append(out)
+    assert oracle.direct_problems(outputs) == {}
 
 
 def test_benchmark_tests_pass():

@@ -272,6 +272,43 @@ def test_search_workers_match_single(capsys):
     assert a == b
 
 
+def test_search_caps_chunks_and_processes(capsys, monkeypatch):
+    # --workers 500 must not ask the OS for 500 processes; an in-process
+    # pool records what it was asked for
+    pools = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+            self.chunks = 0
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            chunks = list(chunks)
+            self.chunks = len(chunks)
+            return map(fn, chunks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    code, single = run_cli(capsys, "search", "--max-edges", "4")
+    assert code == 0
+    code, many = run_cli(capsys, "search", "--max-edges", "4",
+                         "--workers", "500")
+    assert code == 0
+    a, b = json.loads(single), json.loads(many)
+    a.pop("elapsed"), b.pop("elapsed")
+    assert a == b
+    [pool] = pools
+    assert pool.max_workers <= 2
+    assert pool.chunks <= 23
+
+
 def test_search_rejects_nonpositive_counts(capsys):
     for argv in (["--max-edges", "0"], ["--max-edges", "-3"],
                  ["--max-edges", "3", "--workers", "0"],
@@ -316,7 +353,7 @@ def test_oracle_rejects_too_many_vertices_before_connecting(tmp_path, capsys,
                                                              monkeypatch):
     # two edges cannot connect 10^12 + 1 vertices; say so without
     # building per-vertex state
-    monkeypatch.setattr(graphalg, "_is_connected",
+    monkeypatch.setattr(graphalg, "_components",
                         lambda *args: pytest.fail("built per-vertex state"))
     path = tmp_path / "g.txt"
     path.write_text("0 1\n1 1000000000000\n")

@@ -93,6 +93,20 @@ def test_normalize_preserves_class_and_size():
         assert g0.num_vertices == g1.num_vertices
 
 
+def test_normalize_merges_single_banana_stages():
+    # a later single-banana stage only widens its parent slot
+    widened = construction(((2,), 0, 1), ((3,), 1, 1))
+    banana = construction(((4,), 0, 1))
+    assert not mel.is_reduced(widened)
+    assert mel.normalize(widened) == mel.normalize(banana) == banana
+    assert mel.class_of(widened) == mel.class_of(banana)
+    # its children move into the widened slot
+    c = construction(((2, 2), 0, 1), ((3,), 1, 1), ((2, 2), 2, 1))
+    n = mel.normalize(c)
+    assert n == construction(((4, 2), 0, 1), ((2, 2), 1, 1))
+    assert mel.class_of(n) == mel.class_of(c)
+
+
 def _random_construction(rng: random.Random,
                          max_edges: int) -> mel.MelonicConstruction:
     """A valid construction with at most max_edges edges whose stages
@@ -299,6 +313,10 @@ def test_multigraph_validation():
         mel.Multigraph(2, ((0, 5),))
     with pytest.raises(ValueError):
         mel.Multigraph(0, ())
+    # the vertex count is taken as given, never truncated or converted
+    for bad in (True, 2.5):
+        with pytest.raises(ValueError, match="vertices"):
+            mel.Multigraph(bad, ((0, 1),))
     g = mel.Multigraph(2, [[1, 0], (0, 1)])
     assert g.edges == ((1, 0), (0, 1))
     # endpoints are taken as given, never truncated or converted

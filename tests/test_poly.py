@@ -16,7 +16,8 @@ def test_degree_and_indexing():
     assert p[0] == 4 and p[3] == 1
     assert p[17] == 0
     assert ZERO.degree == -1
-    assert ZERO.is_zero
+    assert ZERO.is_zero()
+    assert not IntPoly((1,)).is_zero()
 
 
 def test_equality_and_hash():
