@@ -171,9 +171,6 @@ def _necklace_construction(kind: str, m: int,
 
 
 def cmd_necklace(args: argparse.Namespace) -> int:
-    if args.m < 1 or args.n < 2:
-        print("error: necklace needs --m >= 1 and --n >= 2", file=sys.stderr)
-        return EXIT_USAGE
     if args.kind == "clasped":
         cls = families.clasped_necklace_class(args.m, args.n)
     else:
@@ -298,8 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("necklace", help="necklace closed-form class")
     p.add_argument("kind", choices=["plain", "clasped"])
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--m", type=_positive_int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--basis", type=_basis_arg, default="S")
     p.add_argument("--verify", type=_parse_primes, nargs="?", const=[],
                    default=None,
@@ -340,6 +337,8 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("--n applies only to g and b")
         if args.m == 0:
             parser.error("--n needs --m >= 1")
+    if args.command == "necklace" and args.n < 2:
+        parser.error("--n must be >= 2")
     env = os.environ.get("MELON_BUDGET")
     # --budget wins over MELON_BUDGET; commands without --budget ignore it
     if getattr(args, "budget", 0) is None and env:

@@ -15,6 +15,8 @@ identity can be cross-checked by independent routes.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .poly import ClassPoly, IntPoly, ONE, ZERO, mul
 
 S_PLUS_1 = IntPoly((1, 1))
@@ -23,6 +25,8 @@ S_PLUS_2 = IntPoly((2, 1))
 
 _f_cache: list[IntPoly] = [ZERO]
 _pow_cache: dict[IntPoly, list[IntPoly]] = {}
+# g_m, h_m and b_m; typed, so that 2.0 or True never gets the entry for 2
+_cached = lru_cache(maxsize=None, typed=True)
 
 
 def _pow(p: IntPoly, k: int) -> IntPoly:
@@ -72,12 +76,14 @@ def g_mn_poly(m: int, n: int) -> IntPoly:
     return n * _pow(S_PLUS_1, m - 1) - f_poly(m)
 
 
+@_cached
 def g_poly(m: int) -> IntPoly:
     """g_m = g_{m,m}; g_0 = 0."""
     _require(m >= 0, "g_poly requires m >= 0")
     return g_mn_poly(m, m) if m else ZERO
 
 
+@_cached
 def h_poly(m: int) -> IntPoly:
     """h_m = (s+1) f_{m-1}; h_0 = 1."""
     _require(m >= 0, "h_poly requires m >= 0")
@@ -90,6 +96,7 @@ def b_mn_poly(m: int, n: int) -> IntPoly:
     return n * _pow(S_PLUS_1, m - 1) + mul(S_PLUS_1, f_poly(m))
 
 
+@_cached
 def b_poly(m: int) -> IntPoly:
     """The m-banana class b_m = b_{m,m}; b_0 = 0."""
     _require(m >= 0, "b_poly requires m >= 0")

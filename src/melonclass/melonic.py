@@ -6,13 +6,16 @@ whose sizes are the tuple b_s.  Stage 0 is the initial single edge.  Indices
 are 1-based to match that reading: parent_stage 0 means the root edge, and
 parent_banana counts entries of the parent tuple from 1.
 
-A construction is reduced when no stage after the first holds a single
-banana, and none replaces an edge of a size-1 banana created in stage 1 or
-later.  A single banana of size a only widens its parent slot by a - 1, and
-a stage on a size-1 banana describes the same graph as its string spliced
-into the parent tuple.  The class algorithm accepts any valid
-construction and splices as it recurses.  `normalize` gives the canonical
-form: reduced, sibling subtrees sorted, stages numbered depth-first.
+A construction is checked once, when it is built: the constructor raises
+ValueError unless `validate` finds nothing wrong, and converts no value.
+
+A later single-banana stage of size a only widens its parent slot by
+a - 1, and a stage on a size-1 banana describes the same graph as its
+string spliced into the parent tuple.  The class algorithm accepts any
+valid construction and applies both rewrites as it recurses.  `normalize`
+gives the canonical form: rewritten, sibling subtrees sorted, stages
+numbered depth-first.  A construction is reduced when `normalize` removes
+none of its stages.
 """
 
 from __future__ import annotations
@@ -40,6 +43,10 @@ class MelonicConstruction:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "stages", tuple(self.stages))
+        violations = validate(self)
+        if violations:
+            raise ValueError("invalid melonic construction: "
+                             + "; ".join(violations))
 
     def num_edges(self) -> int:
         """Edges of the resulting graph: each stage past the first trades
@@ -50,13 +57,21 @@ class MelonicConstruction:
         return total
 
 
+_TYPES_MESSAGE = ("bananas must be a list of integers, parent_stage and "
+                  "parent_banana integers")
+
+
 def validate(c: MelonicConstruction) -> list[str]:
-    """Check the four defining conditions; returns one message per violation."""
-    violations: list[str] = []
+    """One message per violation of the four defining conditions, or only
+    the first type error: those checks compare and index the values."""
     stages = c.stages
     if not stages:
         return ["construction has no stages"]
+    violations: list[str] = []
     for idx, st in enumerate(stages, start=1):
+        if not (isinstance(st.bananas, tuple) and all(map(_is_int, st.bananas))
+                and _is_int(st.parent_stage) and _is_int(st.parent_banana)):
+            return [f"stage {idx}: {_TYPES_MESSAGE}"]
         if not st.bananas:
             violations.append(f"stage {idx}: banana tuple is empty")
         elif any(a < 1 for a in st.bananas):
@@ -93,38 +108,20 @@ def validate(c: MelonicConstruction) -> list[str]:
     return violations
 
 
-def _require_valid(c: MelonicConstruction) -> None:
-    violations = validate(c)
-    if violations:
-        raise ValueError("invalid melonic construction: "
-                         + "; ".join(violations))
-
-
 def is_reduced(c: MelonicConstruction) -> bool:
-    """True when no stage after the first is a single banana, and no
-    stage targets a size-1 banana made after stage 0."""
-    for st in c.stages[1:]:
-        if len(st.bananas) == 1:
-            return False
-        if st.parent_stage >= 1:
-            parent = c.stages[st.parent_stage - 1]
-            if parent.bananas[st.parent_banana - 1] == 1:
-                return False
-    return True
+    """True when `normalize` splices and merges none of the stages of c."""
+    return len(normalize(c).stages) == len(c.stages)
 
 
 def to_graph(c: MelonicConstruction) -> Multigraph:
     """Build the melonic multigraph stage by stage."""
-    _require_valid(c)
     edges: list[tuple[int, int] | None] = [(0, 1)]
     pools: dict[tuple[int, int], list[int]] = {(0, 1): [0]}
     num_vertices = 2
     for s_idx, st in enumerate(c.stages, start=1):
         pool = pools[(st.parent_stage, st.parent_banana)]
         eid = pool.pop()
-        removed = edges[eid]
-        assert removed is not None
-        u, v = removed
+        u, v = edges[eid]
         edges[eid] = None
         r = len(st.bananas)
         chain = [u] + list(range(num_vertices, num_vertices + r - 1)) + [v]
@@ -198,14 +195,13 @@ def _class_rec(key: tuple[Stage, ...]) -> IntPoly:
 def class_of(c: MelonicConstruction) -> ClassPoly:
     """Grothendieck class of the construction's graph, a polynomial in S.
 
-    Accepts any valid construction, reduced or not.  Dispatches on the
+    Accepts any construction, reduced or not.  Dispatches on the
     last stage: a lone stage is a product of banana classes; a
     single-banana stage merges into its parent; a stage on a size-1
     banana is spliced into its parent; an all-ones stage is a repeated
     edge subdivision; otherwise contraction-deletion on the largest
     banana of the last stage (lowest index on ties).
     """
-    _require_valid(c)
     return ClassPoly(_class_rec(c.stages))
 
 
@@ -279,7 +275,6 @@ def _linearize(root: Node) -> MelonicConstruction:
 def normalize(c: MelonicConstruction) -> MelonicConstruction:
     """The canonical form of c: reduced, sibling subtrees sorted, stages
     numbered depth-first.  Equivalent constructions share it; idempotent."""
-    _require_valid(c)
     return _linearize(_to_tree(c))
 
 
@@ -372,11 +367,7 @@ def to_json_dict(c: MelonicConstruction) -> dict[str, Any]:
 
 
 def from_json_dict(data: Any) -> MelonicConstruction:
-    """Parse the construction JSON shape; raises ValueError on bad shape.
-
-    Only JSON integers are accepted: strings, floats and booleans are
-    rejected rather than converted.
-    """
+    """Parse the construction JSON shape; raises ValueError on bad shape."""
     if not isinstance(data, dict) or "stages" not in data:
         raise ValueError('construction JSON must be {"stages": [...]}')
     raw = data["stages"]
@@ -393,10 +384,7 @@ def from_json_dict(data: Any) -> MelonicConstruction:
         except KeyError as exc:
             raise ValueError(f"stage {i}: needs bananas, parent_stage, "
                              f"parent_banana") from exc
-        if not (isinstance(bananas, list) and all(map(_is_int, bananas))
-                and _is_int(parent_stage) and _is_int(parent_banana)):
-            raise ValueError(f"stage {i}: bananas must be a list of "
-                             f"integers, parent_stage and parent_banana "
-                             f"integers")
+        if not isinstance(bananas, list):
+            raise ValueError(f"stage {i}: {_TYPES_MESSAGE}")
         stages.append(Stage(tuple(bananas), parent_stage, parent_banana))
     return MelonicConstruction(tuple(stages))

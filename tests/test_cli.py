@@ -244,9 +244,17 @@ def test_necklace_verify_json(capsys):
 
 
 def test_necklace_usage(capsys):
-    code = cli.main(["necklace", "plain", "--m", "0", "--n", "3"])
-    capsys.readouterr()
-    assert code == 2
+    for argv in (["--m", "0", "--n", "3"], ["--m", "2", "--n", "1"],
+                 ["--m", "abc", "--n", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["necklace", "plain", *argv])
+        assert exc.value.code == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        # argparse prints its usage line, then the one-line reason
+        reasons = [ln for ln in captured.err.splitlines() if "error:" in ln]
+        assert len(reasons) == 1, captured.err
+        assert "Traceback" not in captured.err
 
 
 def test_search_deterministic(capsys):
@@ -347,6 +355,98 @@ def test_oracle_errors(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["oracle", str(path), "--verify", "6"])
     assert exc.value.code == 2
+
+
+# replacement values for one field of a construction file; only parent
+# indices also get a huge one, so that a mutant that is still valid has
+# bananas of at most 4 edges and stays cheap to compute
+FUZZ_VALUES = (None, True, 2.5, "2", [], [[2]], {}, -1, 0)
+FUZZ_PARENT_VALUES = FUZZ_VALUES + (10**6,)
+
+
+def _stage_dicts(*stages) -> list[dict]:
+    return [{"bananas": list(b), "parent_stage": p, "parent_banana": k}
+            for b, p, k in stages]
+
+
+def _mutate_construction(rng, stages: list[dict]) -> str:
+    """The text of a construction file with one field dropped or
+    replaced, the document wrapped in a list, or its text truncated."""
+    doc = {"stages": json.loads(json.dumps(stages))}
+    entries = doc["stages"]
+    keyed = [(doc, "stages")] + [(e, key) for e in entries for key in e]
+    indexed = ([(entries, i) for i in range(len(entries))]
+               + [(e["bananas"], j) for e in entries
+                  for j in range(len(e["bananas"]))])
+    # most mutants replace a field: there are many more ways to do that
+    kind = rng.choice(("drop", "replace", "replace", "replace", "wrap",
+                       "truncate"))
+    if kind == "drop":
+        owner, key = rng.choice(keyed)
+        del owner[key]
+    elif kind == "replace":
+        owner, key = rng.choice(keyed + indexed)
+        parent = key in ("parent_stage", "parent_banana")
+        owner[key] = rng.choice(FUZZ_PARENT_VALUES if parent else FUZZ_VALUES)
+    elif kind == "wrap":
+        return json.dumps([doc])
+    else:
+        text = json.dumps(doc)
+        return text[:rng.randrange(len(text))]
+    return json.dumps(doc)
+
+
+def _mutate_edge_list(rng, text: str) -> str:
+    """An edge list with one bad token or line, or an empty or
+    disconnected one."""
+    lines = [ln.split() for ln in text.splitlines()]
+    line = rng.choice(lines)
+    kind = rng.choice(("token", "three", "negative", "huge", "empty",
+                       "disconnected"))
+    if kind == "token":
+        line[rng.randrange(2)] = rng.choice(["x", "1.5", "2e3", "True"])
+    elif kind == "three":
+        line.append("1")
+    elif kind == "negative":
+        line[rng.randrange(2)] = "-1"
+    elif kind == "huge":
+        line[rng.randrange(2)] = str(10**12)
+    elif kind == "empty":
+        return rng.choice(["", "\n", "# no edges\n"])
+    else:
+        return "0 1\n2 3\n"
+    return "".join(" ".join(ln) + "\n" for ln in lines)
+
+
+def _assert_clean_exit(code: int, captured) -> None:
+    assert code in (0, 3)
+    assert "Traceback" not in captured.err
+    if code == 3:
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1, captured.err
+
+
+def test_malformed_input_files_exit_cleanly(tmp_path, capsys, rng):
+    # at most 4 stages, banana sizes at most 4 and at most 6 edges; the
+    # third and fourth are unreduced
+    constructions = [
+        _stage_dicts(((4,), 0, 1)),
+        _stage_dicts(((2, 2), 0, 1), ((1, 2), 1, 2)),
+        _stage_dicts(((3,), 0, 1), ((1, 1), 1, 1), ((1, 2), 2, 1)),
+        _stage_dicts(((2,), 0, 1), ((1, 1), 1, 1), ((1, 1), 1, 1),
+                     ((1, 1), 2, 1)),
+    ]
+    path = tmp_path / "c.json"
+    for _ in range(300):
+        path.write_text(_mutate_construction(rng, rng.choice(constructions)))
+        code = cli.main(["class", str(path)])
+        _assert_clean_exit(code, capsys.readouterr())
+    graphs = ["0 1\n1 2\n2 0\n0 1\n", "0 0\n0 1\n1 2\n1 2\n2 3\n3 0\n"]
+    path = tmp_path / "g.txt"
+    for _ in range(100):
+        path.write_text(_mutate_edge_list(rng, rng.choice(graphs)))
+        code = cli.main(["oracle", str(path)])
+        _assert_clean_exit(code, capsys.readouterr())
 
 
 def test_oracle_rejects_too_many_vertices_before_connecting(tmp_path, capsys,

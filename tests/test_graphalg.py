@@ -74,13 +74,6 @@ def test_spanning_trees_match_matrix_tree():
         assert len(ga.spanning_trees(g)) == _laplacian_tree_count(g)
 
 
-def test_spanning_trees_disconnected():
-    with pytest.raises(ga.DisconnectedGraph):
-        ga.spanning_trees(Multigraph(3, ((0, 1),)))
-    with pytest.raises(ga.DisconnectedGraph):
-        ga.spanning_trees(Multigraph(2, ((0, 0), (1, 1))))
-
-
 def test_kirchhoff_banana():
     monomials = ga.kirchhoff_polynomial(banana(3))
     assert monomials == frozenset(

@@ -18,35 +18,60 @@ def test_validate_good():
     assert mel.validate(c) == []
 
 
+def violations(*stages) -> list[str]:
+    """The violations the constructor reports for an invalid construction."""
+    prefix = "invalid melonic construction: "
+    with pytest.raises(ValueError, match=f"^{prefix}") as exc:
+        construction(*stages)
+    return str(exc.value).removeprefix(prefix).split("; ")
+
+
 def test_validate_root_stage():
-    assert mel.validate(construction(((3,), 1, 1))) == \
+    assert violations(((3,), 1, 1)) == \
         ["stage 1: must replace the root edge (parent_stage 0)"]
-    msgs = mel.validate(construction(((3,), 0, 2)))
+    msgs = violations(((3,), 0, 2))
     assert msgs == ["stage 1: parent_banana must be 1"]
 
 
 def test_validate_shapes():
-    msgs = mel.validate(construction(((), 0, 1)))
+    msgs = violations(((), 0, 1))
     assert "stage 1: banana tuple is empty" in msgs
-    msgs = mel.validate(construction(((0, 2), 0, 1)))
+    msgs = violations(((0, 2), 0, 1))
     assert "stage 1: banana sizes must be positive" in msgs
-    assert mel.validate(mel.MelonicConstruction(())) == \
-        ["construction has no stages"]
+    assert violations() == ["construction has no stages"]
 
 
 def test_validate_parent_references():
-    msgs = mel.validate(construction(((2,), 0, 1), ((2, 2), 2, 1)))
+    msgs = violations(((2,), 0, 1), ((2, 2), 2, 1))
     assert msgs == ["stage 2: parent_stage 2 not in 1..1"]
-    msgs = mel.validate(construction(((2,), 0, 1), ((2, 2), 1, 3)))
+    msgs = violations(((2,), 0, 1), ((2, 2), 1, 3))
     assert msgs == ["stage 2: parent_banana 3 out of range for stage 1"]
 
 
 def test_validate_capacity():
-    c = construction(((2,), 0, 1), ((2, 2), 1, 1), ((2, 2), 1, 1),
-                     ((2, 2), 1, 1))
-    msgs = mel.validate(c)
+    msgs = violations(((2,), 0, 1), ((2, 2), 1, 1), ((2, 2), 1, 1),
+                      ((2, 2), 1, 1))
     assert msgs == ["banana 1 of stage 1 has 2 edges but is replaced by "
                     "3 later stages"]
+
+
+def test_validate_integer_types():
+    # a bool, float or string is rejected, never read as the integer it
+    # equals; only the first stage that holds one is reported
+    message = ("bananas must be a list of integers, parent_stage and "
+               "parent_banana integers")
+    for bad in (True, 2.0, "2"):
+        assert violations(((bad, 2), 0, 1), ((2, 2), "1", 1)) == \
+            [f"stage 1: {message}"]
+        assert violations(((3,), 0, 1), ((2, 2), 1, 1), ((2, 2), bad, 1)) \
+            == [f"stage 3: {message}"]
+        assert violations(((3, 3), 0, 1), ((2, 2), 1, bad)) == \
+            [f"stage 2: {message}"]
+    # read as integers, this would be a valid 3-banana
+    assert violations(((3,), False, True)) == [f"stage 1: {message}"]
+    # nor is a list of sizes converted to a tuple
+    with pytest.raises(ValueError, match=f"stage 1: {message}"):
+        mel.MelonicConstruction((mel.Stage([2], 0, 1),))
 
 
 def test_is_reduced():
@@ -323,3 +348,8 @@ def test_multigraph_validation():
     for bad in ((0, 1.7), (True, 1), ("1", 0)):
         with pytest.raises(ValueError, match="edge"):
             mel.Multigraph(3, ((0, 1), bad))
+    # a disconnected graph is refused when it is built
+    with pytest.raises(ga.DisconnectedGraph):
+        mel.Multigraph(3, ((0, 1),))
+    with pytest.raises(ga.DisconnectedGraph):
+        mel.Multigraph(2, ((0, 0), (1, 1)))
