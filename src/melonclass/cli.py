@@ -38,15 +38,9 @@ def _fmt_coeffs(coeffs: list[int]) -> str:
 
 
 def _parse_primes(text: str) -> list[int]:
-    primes = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        q = int(part)
-        if not graphalg._is_prime(q):
-            raise argparse.ArgumentTypeError(f"{q} is not prime")
-        primes.append(q)
+    """The integers of a comma-separated list; `main` checks each against
+    the point budget and for primality once the budget is known."""
+    primes = [int(part) for part in text.split(",") if part.strip()]
     if not primes:
         raise argparse.ArgumentTypeError("no primes given")
     return primes
@@ -348,7 +342,11 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: MELON_BUDGET: {exc}", file=sys.stderr)
             return EXIT_USAGE
     try:
+        for q in getattr(args, "verify", None) or ():
+            graphalg.check_modulus(q, args.budget or graphalg.DEFAULT_BUDGET)
         return args.func(args)
+    except graphalg.NonPrimeModulus as exc:
+        parser.error(f"argument --verify: {exc}")
     except graphalg.BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

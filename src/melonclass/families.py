@@ -226,43 +226,17 @@ def clasped_necklace_class(m: int, n: int) -> ClassPoly:
     return ClassPoly(mul(acc, p_mn_poly(m, n)))
 
 
-_necklace_memo: dict[tuple[int, int], IntPoly] = {}
-
-
-def _necklace_by_recursion(m: int, n: int) -> IntPoly:
-    """Necklace class via contraction-deletion on the closing banana.
-
-    U(G_{m,n}) = f_m U(G'_{m,n}) + g_m U(G_{m,n-1}) + h_m b_m^{n-1},
-    grounded at U(G_{m,2}) = b_{2m} (a 2m-banana).
-    """
-    f_m = f_poly(m)
-    g_m = g_poly(m)
-    h_m = h_poly(m)
-    b_m = b_poly(m)
-    for j in range(2, n + 1):
-        if (m, j) in _necklace_memo:
-            continue
-        if j == 2:
-            val = b_poly(2 * m)
-        else:
-            val = (mul(f_m, clasped_necklace_class(m, j).poly)
-                   + mul(g_m, _necklace_memo[(m, j - 1)])
-                   + mul(h_m, _pow(b_m, j - 1)))
-        _necklace_memo[(m, j)] = val
-    return _necklace_memo[(m, n)]
-
-
 def necklace_class(m: int, n: int) -> ClassPoly:
     """Class of the necklace of n m-bananas arranged in a cycle.
 
-    m = 1 is the n-gon, b_2 (s+2)^{n-2}.  m = 2 has the closed form
-    ((s+1)^n + n(s+1)^{n-1} - 1)(s+2)^{n-1}(s+1).  Larger m runs the
-    contraction-deletion recursion in n.
+    One formula for every m, from the series rule for two-terminal
+    networks (Brown-Yeats, CMP 2011), with the sum built by Horner in b_m:
+        N_{m,n} = (s+1) f_m sum_{j<n} b_m^j g_m^{n-1-j} + n h_m b_m^{n-1}.
     """
     _require(m >= 1 and n >= 2, "necklace_class requires m >= 1, n >= 2")
-    if m == 1:
-        return ClassPoly(mul(b_poly(2), _pow(S_PLUS_2, n - 2)))
-    if m == 2:
-        head = _pow(S_PLUS_1, n) + n * _pow(S_PLUS_1, n - 1) - ONE
-        return ClassPoly(mul(mul(head, _pow(S_PLUS_2, n - 1)), S_PLUS_1))
-    return ClassPoly(_necklace_by_recursion(m, n))
+    b_m, g_m = b_poly(m), g_poly(m)
+    total = ZERO
+    for j in range(n):
+        total = mul(total, b_m) + _pow(g_m, j)
+    return ClassPoly(mul(mul(S_PLUS_1, f_poly(m)), total)
+                     + n * mul(h_poly(m), _pow(b_m, n - 1)))

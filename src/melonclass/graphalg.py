@@ -38,6 +38,9 @@ class BudgetExceeded(RuntimeError):
     pass
 
 
+DEFAULT_BUDGET = 10 ** 8
+
+
 def _components(nodes, edges) -> int:
     """Number of connected components, by union-find with path halving."""
     parent = {x: x for x in nodes}
@@ -141,6 +144,19 @@ def _is_prime(q: int) -> bool:
     return True
 
 
+def check_modulus(q: int, budget: int) -> None:
+    """Refuse q as a modulus: BudgetExceeded above the point budget, else
+    NonPrimeModulus unless q is prime.
+
+    A count over at least one edge enumerates q or more points; comparing
+    q with the budget first bounds trial division by sqrt(budget) steps.
+    """
+    if q > budget:
+        raise BudgetExceeded(f"modulus {q} exceeds budget {budget}")
+    if not _is_prime(q):
+        raise NonPrimeModulus(f"{q} is not prime")
+
+
 def _dtype_for(q: int) -> type:
     # headroom for (q-1)*(q-1) + (q-1) before the reduction mod q
     if q <= 15:
@@ -213,10 +229,8 @@ def count_complement_points(g: Multigraph, q: int,
     are exact and are cross-checked in the test suite.  budget caps the
     q^|E| points enumerated; None means 10**8.
     """
-    if not _is_prime(q):
-        raise NonPrimeModulus(f"{q} is not prime")
-    if budget is None:
-        budget = 10 ** 8
+    budget = DEFAULT_BUDGET if budget is None else budget
+    check_modulus(q, budget)
     size = q ** len(g.edges)
     if size > budget:
         raise BudgetExceeded(

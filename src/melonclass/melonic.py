@@ -42,7 +42,11 @@ class MelonicConstruction:
     stages: tuple[Stage, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "stages", tuple(self.stages))
+        try:
+            object.__setattr__(self, "stages", tuple(self.stages))
+        except TypeError:
+            raise ValueError("invalid melonic construction: stages must be "
+                             "a sequence of Stage") from None
         violations = validate(self)
         if violations:
             raise ValueError("invalid melonic construction: "
@@ -69,7 +73,8 @@ def validate(c: MelonicConstruction) -> list[str]:
         return ["construction has no stages"]
     violations: list[str] = []
     for idx, st in enumerate(stages, start=1):
-        if not (isinstance(st.bananas, tuple) and all(map(_is_int, st.bananas))
+        if not (isinstance(st, Stage) and isinstance(st.bananas, tuple)
+                and all(map(_is_int, st.bananas))
                 and _is_int(st.parent_stage) and _is_int(st.parent_banana)):
             return [f"stage {idx}: {_TYPES_MESSAGE}"]
         if not st.bananas:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -355,6 +356,32 @@ def test_oracle_errors(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["oracle", str(path), "--verify", "6"])
     assert exc.value.code == 2
+
+
+def test_modulus_above_budget_exits_before_primality(tmp_path, capsys):
+    # trial division would take about 10**9 steps on this prime; above
+    # the point budget it is never tested
+    path = tmp_path / "g.txt"
+    path.write_text("0 1\n0 1\n")
+    construction = _write_construction(tmp_path, [
+        {"bananas": [3], "parent_stage": 0, "parent_banana": 1}])
+    big = "1000000000000000003"
+    start = time.monotonic()
+    for argv in (["oracle", str(path), "--verify", big],
+                 ["class", construction, "--verify", big],
+                 ["necklace", "plain", "--m", "2", "--n", "3",
+                  "--verify", "2," + big]):
+        assert cli.main(argv) == 4, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: modulus {big} exceeds budget "
+                                f"100000000\n"), argv
+    assert time.monotonic() - start < 2
+    # a non-prime within the budget is still a usage error
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["oracle", str(path), "--verify", "4", "--budget", "1000"])
+    assert exc.value.code == 2
+    assert "4 is not prime" in capsys.readouterr().err
 
 
 # replacement values for one field of a construction file; only parent

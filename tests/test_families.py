@@ -1,6 +1,7 @@
 import pytest
 
 from melonclass import families as fam
+from melonclass.concavity import check_lc
 from melonclass.poly import IntPoly, eval_int, mul
 
 from reference_tables import ULC_TABLES
@@ -134,10 +135,33 @@ def test_deep_clasped_necklace_matches_construction():
 
 
 def test_necklace_closed_forms_match_recursion():
-    for m in (1, 2):
-        for n in range(2, 9):
-            closed = fam.necklace_class(m, n).poly
-            assert closed == fam._necklace_by_recursion(m, n), (m, n)
+    # the series-rule formula against the paper's contraction-deletion
+    # recursion on the necklace's construction
+    from melonclass import cli, melonic
+    for m in range(1, 13):
+        for n in range(2, 16):
+            construction = cli._necklace_construction("plain", m, n)
+            assert (fam.necklace_class(m, n).poly
+                    == melonic.class_of(construction).poly), (m, n)
+
+
+def test_necklace_is_log_concave():
+    # beyond the paper, which proves LC only for clasped necklaces
+    for m in range(1, 21):
+        for n in range(2, 21):
+            coeffs = fam.necklace_class(m, n).poly.coeffs
+            assert check_lc(coeffs) == (True, []), (m, n)
+
+
+def test_clasped_short_form():
+    # (s+1)(s+2) p_{m,n} = (s+1) b_m + (n-1)(s+2) h_m
+    for m in range(1, 25):
+        b_m, h_m = fam.b_poly(m), fam.h_poly(m)
+        for n in range(2, 20):
+            short = mul(fam._pow(b_m, n - 2),
+                        mul(fam.S_PLUS_1, b_m)
+                        + (n - 1) * mul(fam.S_PLUS_2, h_m))
+            assert fam.clasped_necklace_class(m, n).poly == short, (m, n)
 
 
 def test_necklace_base_case():

@@ -213,6 +213,11 @@ def test_count_rejects_bad_modulus():
 def test_count_budget():
     with pytest.raises(ga.BudgetExceeded):
         ga.count_complement_points(banana(4), 3, budget=80)
+    # a modulus above the budget is refused before its primality is tested
+    with pytest.raises(ga.BudgetExceeded, match="modulus"):
+        ga.count_complement_points(banana(2), 10 ** 18 + 3)
+    with pytest.raises(ga.BudgetExceeded, match="modulus"):
+        ga.count_complement_points(banana(2), 12, budget=11)
     assert ga.count_complement_points(banana(4), 3, budget=81) > 0
 
 

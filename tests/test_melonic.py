@@ -46,6 +46,10 @@ def test_validate_parent_references():
     assert msgs == ["stage 2: parent_stage 2 not in 1..1"]
     msgs = violations(((2,), 0, 1), ((2, 2), 1, 3))
     assert msgs == ["stage 2: parent_banana 3 out of range for stage 1"]
+    msgs = violations(((2,), 0, 1), ((2, 2), 1, 9))
+    assert msgs == ["stage 2: parent_banana 9 out of range for stage 1"]
+    assert violations(((2,), 1, 1)) == \
+        ["stage 1: must replace the root edge (parent_stage 0)"]
 
 
 def test_validate_capacity():
@@ -72,6 +76,11 @@ def test_validate_integer_types():
     # nor is a list of sizes converted to a tuple
     with pytest.raises(ValueError, match=f"stage 1: {message}"):
         mel.MelonicConstruction((mel.Stage([2], 0, 1),))
+    # nor a plain tuple to a Stage, nor a non-iterable to stages
+    with pytest.raises(ValueError, match=f"stage 1: {message}"):
+        mel.MelonicConstruction((((2,), 0, 1),))
+    with pytest.raises(ValueError, match="stages must be a sequence of Stage"):
+        mel.MelonicConstruction(5)
 
 
 def test_is_reduced():
@@ -221,11 +230,6 @@ def test_to_graph_edge_count_matches():
         assert len(g.edges) == c.num_edges()
 
 
-def test_to_graph_rejects_invalid():
-    with pytest.raises(ValueError):
-        mel.to_graph(construction(((2,), 1, 1)))
-
-
 def test_class_of_single_banana_rows():
     for m in range(1, 9):
         got = mel.class_of(construction(((m,), 0, 1)))
@@ -266,11 +270,6 @@ def test_class_of_unreduced_input():
     c = construction(((1,), 0, 1), ((2, 2), 1, 1))
     n = mel.normalize(c)
     assert mel.class_of(c) == mel.class_of(n)
-
-
-def test_class_of_rejects_invalid():
-    with pytest.raises(ValueError):
-        mel.class_of(construction(((2,), 0, 1), ((2, 2), 1, 9)))
 
 
 def test_enumerate_counts():
