@@ -2,7 +2,8 @@
 closed forms, the log-concavity search harness, and direct point counting.
 
 Exit codes: 0 success, 1 oracle or cross-check mismatch, 2 usage error,
-3 invalid input (construction or graph file), 4 point budget exceeded.
+3 invalid input (construction or graph file, or one too deep or too
+large to process), 4 point budget exceeded.
 """
 
 from __future__ import annotations
@@ -43,6 +44,9 @@ def _parse_primes(text: str) -> list[int]:
     primes = [int(part) for part in text.split(",") if part.strip()]
     if not primes:
         raise argparse.ArgumentTypeError("no primes given")
+    if len(set(primes)) < len(primes):
+        raise argparse.ArgumentTypeError(
+            f"primes must be distinct, got {text!r}")
     return primes
 
 
@@ -68,10 +72,20 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def cmd_family(args: argparse.Namespace) -> int:
+def _report(args: argparse.Namespace, payload: dict,
+            lines: list[str]) -> tuple[int, str]:
+    """A command's exit code, EXIT_MISMATCH if a check in payload failed,
+    and its text: payload as JSON under --format json, else the lines."""
+    matched = payload.get("construction_match", True) and all(
+        row["match"] for row in payload.get("verify", ()))
+    text = (json.dumps(payload, indent=2) if args.format == "json"
+            else "\n".join(lines))
+    return (EXIT_OK if matched else EXIT_MISMATCH), text
+
+
+def cmd_family(args: argparse.Namespace) -> tuple[int, str]:
     p = families.family_poly(args.family, args.m, args.n)
-    print(_fmt_coeffs(_coeff_list(p, args.basis)))
-    return EXIT_OK
+    return EXIT_OK, _fmt_coeffs(_coeff_list(p, args.basis))
 
 
 def _table_rows(family: str, lo: int, hi: int,
@@ -110,48 +124,37 @@ def _render_tables_md(tables: dict[str, list[dict]], which: str) -> str:
     return "\n".join(out)
 
 
-def cmd_tables(args: argparse.Namespace) -> int:
+def cmd_tables(args: argparse.Namespace) -> tuple[int, str]:
     lo, hi = args.m
     tables = {family: _table_rows(family, lo, hi, args.which)
               for family in FAMILY_ORDER}
-    if args.format == "json":
-        payload = {"which": args.which, "m_lo": lo, "m_hi": hi,
-                   "families": tables}
-        print(json.dumps(payload, indent=2))
-    else:
-        print(_render_tables_md(tables, args.which))
-    return EXIT_OK
+    payload = {"which": args.which, "m_lo": lo, "m_hi": hi,
+               "families": tables}
+    return _report(args, payload, [_render_tables_md(tables, args.which)])
 
 
 def _verify(c: melonic.MelonicConstruction, cls: ClassPoly,
-            args: argparse.Namespace, payload: dict) -> bool:
-    """Point-count the graph of c at the primes of --verify and report
-    each prime as a line, or under "verify" in payload for JSON."""
+            args: argparse.Namespace) -> tuple[list[dict], list[str]]:
+    """The point counts of c's graph at the --verify primes: rows, and a
+    line for each."""
     rows = graphalg.verify_class(melonic.to_graph(c), cls, args.verify,
                                  budget=args.budget)
-    payload["verify"] = rows
-    if args.format != "json":
-        for row in rows:
-            status = "match" if row["match"] else "MISMATCH"
-            print(f"q={row['q']}: counted {row['counted']}, "
-                  f"expected {row['expected']} -> {status}")
-    return all(row["match"] for row in rows)
+    return rows, [f"q={r['q']}: counted {r['counted']}, expected "
+                  f"{r['expected']} -> {'match' if r['match'] else 'MISMATCH'}"
+                  for r in rows]
 
 
-def cmd_class(args: argparse.Namespace) -> int:
+def cmd_class(args: argparse.Namespace) -> tuple[int, str]:
     with open(args.construction, "r", encoding="utf-8") as fh:
         c = melonic.from_json_dict(json.load(fh))
     cls = melonic.class_of(c)
     coeffs = _coeff_list(cls.poly, args.basis)
     payload: dict = {"coefficients": coeffs, "basis": args.basis}
-    if args.format != "json":
-        print(_fmt_coeffs(coeffs))
-    exit_code = EXIT_OK
-    if args.verify and not _verify(c, cls, args, payload):
-        exit_code = EXIT_MISMATCH
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    return exit_code
+    lines = [_fmt_coeffs(coeffs)]
+    if args.verify:
+        payload["verify"], checked = _verify(c, cls, args)
+        lines += checked
+    return _report(args, payload, lines)
 
 
 def _necklace_construction(kind: str, m: int,
@@ -164,7 +167,7 @@ def _necklace_construction(kind: str, m: int,
         (melonic.Stage((m + 1,), 0, 1), melonic.Stage(tup, 1, 1)))
 
 
-def cmd_necklace(args: argparse.Namespace) -> int:
+def cmd_necklace(args: argparse.Namespace) -> tuple[int, str]:
     if args.kind == "clasped":
         cls = families.clasped_necklace_class(args.m, args.n)
     else:
@@ -172,24 +175,17 @@ def cmd_necklace(args: argparse.Namespace) -> int:
     coeffs = _coeff_list(cls.poly, args.basis)
     payload: dict = {"kind": args.kind, "m": args.m, "n": args.n,
                      "coefficients": coeffs, "basis": args.basis}
-    if args.format != "json":
-        print(_fmt_coeffs(coeffs))
-    exit_code = EXIT_OK
+    lines = [_fmt_coeffs(coeffs)]
     if args.verify is not None:
         construction = _necklace_construction(args.kind, args.m, args.n)
-        recursed = melonic.class_of(construction)
-        closed_matches = recursed.poly == cls.poly
-        payload["construction_match"] = closed_matches
-        if args.format != "json":
-            print("construction recursion: "
-                  + ("match" if closed_matches else "MISMATCH"))
-        if not closed_matches:
-            exit_code = EXIT_MISMATCH
-        if args.verify and not _verify(construction, cls, args, payload):
-            exit_code = EXIT_MISMATCH
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    return exit_code
+        match = melonic.class_of(construction).poly == cls.poly
+        payload["construction_match"] = match
+        lines.append("construction recursion: "
+                     + ("match" if match else "MISMATCH"))
+        if args.verify:
+            payload["verify"], checked = _verify(construction, cls, args)
+            lines += checked
+    return _report(args, payload, lines)
 
 
 def _search_chunk(constructions: list[melonic.MelonicConstruction]
@@ -203,7 +199,7 @@ def _search_chunk(constructions: list[melonic.MelonicConstruction]
     return bad
 
 
-def cmd_search(args: argparse.Namespace) -> int:
+def cmd_search(args: argparse.Namespace) -> tuple[int, str]:
     start = time.monotonic()
     constructions = list(melonic.enumerate_constructions(args.max_edges))
     # never more chunks than constructions, nor processes than CPUs
@@ -221,30 +217,23 @@ def cmd_search(args: argparse.Namespace) -> int:
     counterexamples = [
         {"construction": melonic.to_json_dict(c), "failing_degrees": fails}
         for c, fails in bad]
-    print(json.dumps({"constructions_checked": len(constructions),
-                      "edge_bound": args.max_edges,
-                      "counterexamples": counterexamples,
-                      "elapsed": round(time.monotonic() - start, 3)},
-                     indent=2))
-    return EXIT_OK
+    return EXIT_OK, json.dumps(
+        {"constructions_checked": len(constructions),
+         "edge_bound": args.max_edges, "counterexamples": counterexamples,
+         "elapsed": round(time.monotonic() - start, 3)}, indent=2)
 
 
-def cmd_oracle(args: argparse.Namespace) -> int:
+def cmd_oracle(args: argparse.Namespace) -> tuple[int, str]:
     with open(args.graph, "r", encoding="utf-8") as fh:
         g = graphalg.from_edge_list(fh.read())
     primes = args.verify or [2, 3, 5]
     counts = {q: graphalg.count_complement_points(g, q, budget=args.budget)
               for q in primes}
-    if args.format == "json":
-        print(json.dumps({"vertices": g.num_vertices,
-                          "edges": len(g.edges),
-                          "counts": {str(q): n for q, n in counts.items()}},
-                         indent=2))
-    else:
-        print(f"graph: {g.num_vertices} vertices, {len(g.edges)} edges")
-        for q, n in counts.items():
-            print(f"q={q}: {n} complement points")
-    return EXIT_OK
+    payload = {"vertices": g.num_vertices, "edges": len(g.edges),
+               "counts": {str(q): n for q, n in counts.items()}}
+    lines = [f"graph: {g.num_vertices} vertices, {len(g.edges)} edges"]
+    lines += [f"q={q}: {n} complement points" for q, n in counts.items()]
+    return _report(args, payload, lines)
 
 
 def _basis_arg(text: str) -> str:
@@ -321,7 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command; the only place that maps exceptions to exit codes."""
+    """Run one command; the only place that maps exceptions to exit codes
+    and that writes stdout, once the command has returned."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "family" and args.m < 0:
@@ -344,7 +334,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         for q in getattr(args, "verify", None) or ():
             graphalg.check_modulus(q, args.budget or graphalg.DEFAULT_BUDGET)
-        return args.func(args)
+        exit_code, text = args.func(args)
+        print(text)
+        return exit_code
     except graphalg.NonPrimeModulus as exc:
         parser.error(f"argument --verify: {exc}")
     except graphalg.BudgetExceeded as exc:
@@ -356,6 +348,9 @@ def main(argv: list[str] | None = None) -> int:
     except RecursionError:
         print("error: input is nested too deeply to process",
               file=sys.stderr)
+        return EXIT_INVALID
+    except MemoryError:
+        print("error: input is too large to process", file=sys.stderr)
         return EXIT_INVALID
 
 

@@ -371,25 +371,28 @@ def to_json_dict(c: MelonicConstruction) -> dict[str, Any]:
                        for st in c.stages]}
 
 
+def _check_keys(obj: dict, keys: tuple[str, ...], where: str) -> None:
+    """Raise ValueError unless obj has exactly these keys."""
+    for key in obj:
+        if key not in keys:
+            raise ValueError(f"{where}: unknown key {key!r}")
+    if len(obj) < len(keys):
+        raise ValueError(f"{where}: needs {', '.join(keys)}")
+
+
 def from_json_dict(data: Any) -> MelonicConstruction:
     """Parse the construction JSON shape; raises ValueError on bad shape."""
     if not isinstance(data, dict) or "stages" not in data:
         raise ValueError('construction JSON must be {"stages": [...]}')
-    raw = data["stages"]
-    if not isinstance(raw, list):
+    _check_keys(data, ("stages",), "construction JSON")
+    if not isinstance(data["stages"], list):
         raise ValueError('"stages" must be a list')
     stages = []
-    for i, entry in enumerate(raw, start=1):
+    for i, entry in enumerate(data["stages"], start=1):
         if not isinstance(entry, dict):
             raise ValueError(f"stage {i}: must be an object")
-        try:
-            bananas = entry["bananas"]
-            parent_stage = entry["parent_stage"]
-            parent_banana = entry["parent_banana"]
-        except KeyError as exc:
-            raise ValueError(f"stage {i}: needs bananas, parent_stage, "
-                             f"parent_banana") from exc
-        if not isinstance(bananas, list):
+        _check_keys(entry, Stage._fields, f"stage {i}")
+        if not isinstance(entry["bananas"], list):
             raise ValueError(f"stage {i}: {_TYPES_MESSAGE}")
-        stages.append(Stage(tuple(bananas), parent_stage, parent_banana))
+        stages.append(Stage(**{**entry, "bananas": tuple(entry["bananas"])}))
     return MelonicConstruction(tuple(stages))

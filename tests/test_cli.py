@@ -210,11 +210,32 @@ def test_class_deep_chain_is_invalid_input(tmp_path, capsys):
 
 
 def test_class_budget_exceeded(tmp_path, capsys):
+    # the class and the construction recursion are done before the count
+    # runs over budget; none of it may reach stdout
     path = _write_construction(tmp_path, [
         {"bananas": [10], "parent_stage": 0, "parent_banana": 1}])
-    code = cli.main(["class", path, "--verify", "5", "--budget", "100"])
-    capsys.readouterr()
-    assert code == 4
+    for argv in (["class", path, "--verify", "5", "--budget", "100"],
+                 ["necklace", "plain", "--m", "3", "--n", "3",
+                  "--verify", "5", "--budget", "1000"],
+                 ["necklace", "clasped", "--m", "2", "--n", "3",
+                  "--verify", "2,5", "--budget", "200"]):
+        assert cli.main(argv) == 4, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert len(captured.err.splitlines()) == 1, captured.err
+        assert captured.err.startswith("error: ")
+
+
+def test_memory_error_is_invalid_input(tmp_path, capsys, monkeypatch):
+    def out_of_memory(c):
+        raise MemoryError
+    monkeypatch.setattr(cli.melonic, "class_of", out_of_memory)
+    path = _write_construction(tmp_path, [
+        {"bananas": [3], "parent_stage": 0, "parent_banana": 1}])
+    assert cli.main(["class", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: input is too large to process\n"
 
 
 def test_necklace_command(capsys):
@@ -242,6 +263,23 @@ def test_necklace_verify_json(capsys):
     payload = json.loads(out)
     assert payload["construction_match"] is True
     assert payload["verify"][0]["match"] is True
+
+
+def test_repeated_prime_is_usage_error(tmp_path, capsys):
+    graph = tmp_path / "g.txt"
+    graph.write_text("0 1\n0 1\n")
+    construction = _write_construction(tmp_path, [
+        {"bananas": [3], "parent_stage": 0, "parent_banana": 1}])
+    for argv in (["class", construction, "--verify", "2,2"],
+                 ["necklace", "plain", "--m", "2", "--n", "3",
+                  "--verify", "3,2,3"],
+                 ["oracle", str(graph), "--verify", "2,02"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "primes must be distinct" in captured.err
 
 
 def test_necklace_usage(capsys):
@@ -445,12 +483,19 @@ def _mutate_edge_list(rng, text: str) -> str:
     return "".join(" ".join(ln) + "\n" for ln in lines)
 
 
-def _assert_clean_exit(code: int, captured) -> None:
-    assert code in (0, 3)
+def _assert_clean_exit(code: int, captured, codes=(0, 3)) -> None:
+    """The run exits with one of codes and no traceback; a failed run
+    leaves stdout empty and gives its reason on one `error:` line, after
+    argparse's usage lines for exit 2."""
+    assert code in codes, captured.err
     assert "Traceback" not in captured.err
-    if code == 3:
+    if code == 0:
+        assert captured.out and captured.err == ""
+    else:
         assert captured.out == ""
-        assert len(captured.err.splitlines()) == 1, captured.err
+        lines = captured.err.splitlines()
+        reasons = [ln for ln in lines if "error:" in ln]
+        assert len(reasons) == 1 and (code == 2 or len(lines) == 1), lines
 
 
 def test_malformed_input_files_exit_cleanly(tmp_path, capsys, rng):
@@ -530,3 +575,95 @@ def test_console_script_entry():
                           env=src_env(), capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "[2, 3, 1]\n"
+
+
+def _run(argv: list[str], capsys) -> tuple[int, object]:
+    """Exit code and captured output of one run, usage errors included."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr()
+
+
+def _sweep_files(tmp_path) -> dict[str, str]:
+    stage = {"bananas": [3], "parent_stage": 0, "parent_banana": 1}
+    files = {"c.json": json.dumps({"stages": [stage]}),
+             "stagez.json": json.dumps({"stages": [stage], "stagez": 1}),
+             "extra.json": json.dumps({"stages": [{**stage, "extra": 1}]}),
+             "big.json": json.dumps({"stages": [
+                 {"bananas": [10], "parent_stage": 0, "parent_banana": 1}]}),
+             "bad.json": '{"stages": [{"bananas": [2]}]}',
+             "g.txt": "0 1\n0 1\n1 2\n",
+             "split.txt": "0 1\n2 3\n"}
+    paths = {}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+        paths[name] = str(tmp_path / name)
+    paths["missing"] = str(tmp_path / "missing.json")
+    return paths
+
+
+def test_failed_runs_leave_stdout_empty(tmp_path, capsys, monkeypatch):
+    # every exit code among 2, 3 and 4 that each subcommand can reach
+    f = _sweep_files(tmp_path)
+    runs = {
+        2: [["family", "z", "--m", "3"],
+            ["family", "f", "--m", "3", "--n", "2"],
+            ["tables", "--m", "5..2"], ["tables", "--format", "xml"],
+            ["class", f["c.json"], "--verify", "4"],
+            ["class", f["c.json"], "--verify", "2,2"],
+            ["class", f["c.json"], "--budget", "0"],
+            ["necklace", "plain", "--m", "0", "--n", "3"],
+            ["necklace", "clasped", "--m", "2", "--n", "3", "--verify", "6"],
+            ["search", "--max-edges", "0"], ["search", "--workers", "2"],
+            ["oracle", f["g.txt"], "--verify", "6"],
+            ["oracle", f["g.txt"], "--format", "csv"]],
+        3: [["class", f["missing"]], ["class", f["bad.json"]],
+            ["class", f["stagez.json"]], ["class", f["extra.json"]],
+            ["oracle", f["missing"]], ["oracle", f["split.txt"]],
+            ["oracle", f["bad.json"]]],
+        4: [["class", f["big.json"], "--verify", "5", "--budget", "100"],
+            ["necklace", "plain", "--m", "3", "--n", "3", "--verify", "5",
+             "--budget", "1000"],
+            ["oracle", f["g.txt"], "--budget", "3"]],
+    }
+    for want, argvs in runs.items():
+        for argv in argvs:
+            _assert_clean_exit(*_run(argv, capsys), codes=(want,))
+    # a bad MELON_BUDGET is a usage error of every command with --budget
+    monkeypatch.setenv("MELON_BUDGET", "many")
+    for argv in (["class", f["c.json"]], ["oracle", f["g.txt"]],
+                 ["necklace", "plain", "--m", "2", "--n", "3"]):
+        _assert_clean_exit(*_run(argv, capsys), codes=(2,))
+
+
+# values a fuzzed flag or argument may take; every run that succeeds
+# with them stays small
+FUZZ_TOKENS = ("0", "-1", "1", "2", "3", "x", "1.5", "", "2,2", "2,3", "6",
+               "1..3", "3..1", "json", "md", "T", "--verify", "--budget",
+               "--m", "--n", "--format")
+
+
+def test_fuzzed_arguments_exit_cleanly(tmp_path, capsys, rng):
+    f = _sweep_files(tmp_path)
+    bases = [["family", "g", "--m", "3", "--n", "2", "--basis", "T"],
+             ["tables", "--m", "1..3", "--which", "ulcm", "--format", "json"],
+             ["class", f["c.json"], "--verify", "2,3", "--budget", "200"],
+             ["necklace", "clasped", "--m", "2", "--n", "3", "--verify",
+              "2", "--budget", "200", "--format", "json"],
+             ["necklace", "plain", "--m", "2", "--n", "3", "--verify", "2",
+              "--budget", "200"],
+             ["search", "--max-edges", "3", "--workers", "1"],
+             ["oracle", f["g.txt"], "--verify", "3", "--format", "md"]]
+    files = list(f.values())
+    for _ in range(600):
+        argv = list(rng.choice(bases))
+        i = rng.randrange(1, len(argv))
+        kind = rng.choice(("replace", "replace", "drop", "insert"))
+        if kind == "drop":
+            del argv[i]
+        else:
+            token = rng.choice(FUZZ_TOKENS + tuple(files))
+            argv[i:i + (kind == "replace")] = [token]
+        _assert_clean_exit(*_run(argv, capsys), codes=(0, 2, 3, 4))

@@ -330,6 +330,12 @@ def test_from_json_rejects_malformed():
         mel.from_json_dict({"stages": "nope"})
     with pytest.raises(ValueError):
         mel.from_json_dict({"stages": [{"bananas": [2]}]})
+    # a key the shape does not have is named, not ignored
+    stage = {"bananas": [2], "parent_stage": 0, "parent_banana": 1}
+    with pytest.raises(ValueError, match="construction JSON: unknown key"):
+        mel.from_json_dict({"stages": [stage], "stagez": 1})
+    with pytest.raises(ValueError, match="stage 1: unknown key 'extra'"):
+        mel.from_json_dict({"stages": [{**stage, "extra": 1}]})
 
 
 def test_multigraph_validation():
