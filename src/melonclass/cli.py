@@ -9,6 +9,7 @@ large to process), 4 point budget exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -41,9 +42,11 @@ def _fmt_coeffs(coeffs: list[int]) -> str:
 def _parse_primes(text: str) -> list[int]:
     """The integers of a comma-separated list; `main` checks each against
     the point budget and for primality once the budget is known."""
-    primes = [int(part) for part in text.split(",") if part.strip()]
-    if not primes:
-        raise argparse.ArgumentTypeError("no primes given")
+    try:
+        primes = [int(part) for part in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
     if len(set(primes)) < len(primes):
         raise argparse.ArgumentTypeError(
             f"primes must be distinct, got {text!r}")
@@ -51,13 +54,14 @@ def _parse_primes(text: str) -> list[int]:
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    if ".." in text:
-        lo_s, hi_s = text.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
-    else:
-        lo = hi = int(text)
-    if lo > hi or lo < 0:
-        raise argparse.ArgumentTypeError(f"bad range {text!r}")
+    lo_s, sep, hi_s = text.partition("..")
+    try:
+        lo, hi = int(lo_s), int(hi_s if sep else lo_s)
+    except ValueError:
+        lo, hi = 1, 0
+    if not 0 <= lo <= hi:
+        raise argparse.ArgumentTypeError(
+            f"expected m or lo..hi with integers 0 <= lo <= hi, got {text!r}")
     return lo, hi
 
 
@@ -244,6 +248,7 @@ def _basis_arg(text: str) -> str:
     return basis
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="melon",

@@ -157,45 +157,34 @@ def check_modulus(q: int, budget: int) -> None:
         raise NonPrimeModulus(f"{q} is not prime")
 
 
-def _dtype_for(q: int) -> type:
-    # headroom for (q-1)*(q-1) + (q-1) before the reduction mod q
-    if q <= 15:
-        return np.uint8
-    if q <= 255:
-        return np.uint16
-    return np.uint32
-
-
 def _count_dp(edges: tuple[tuple[int, int], ...], q: int) -> int:
     """Value table of Psi mod q over all q^|E| points, by
     contraction-deletion on the last edge; returns the nonzero count.
 
-    With index t_n q^{n-1} + ... + t_1 (last edge most significant):
-      loop e:    Psi = t_e Psi(G-e)          -> blocks a * A
-      bridge e:  Psi = Psi(G/e)              -> q copies of B
-      else:      Psi = t_e Psi(G-e) + Psi(G/e) -> blocks a * A + B
+    With index t_n q^{n-1} + ... + t_1 (last edge most significant), row
+    t_e of a q x q^{|E|-1} table is the block where the last edge is t_e:
+      loop e:    Psi = t_e Psi(G-e)            -> t_e * A
+      bridge e:  Psi = Psi(G/e)                -> q copies of B
+      else:      Psi = t_e Psi(G-e) + Psi(G/e) -> t_e * A + B
+    The dtype holds (q-1)*(q-1) + (q-1) = q*(q-1) before the reduction.
     """
-    dtype = _dtype_for(q)
+    dtype = np.min_scalar_type(q * (q - 1))
+    t_e = np.arange(q, dtype=dtype)[:, None]
 
     def rec(es: tuple[tuple[int, int], ...]) -> np.ndarray:
         if not es:
             return np.ones(1, dtype=dtype)
         (u, v), rest = es[-1], es[:-1]
         if u == v:
-            deleted = rec(rest)
-            return np.concatenate([a * deleted % q for a in range(q)])
+            return (t_e * rec(rest) % q).ravel()
         contracted_rest = tuple(
             (u if x == v else x, u if y == v else y) for x, y in rest)
         vertices = {w for e in es for w in e}
         if _components(vertices, rest) > 1:  # bridge: Psi has no t_e term
             return np.tile(rec(contracted_rest), q)
-        deleted = rec(rest)
-        contracted = rec(contracted_rest)
-        return np.concatenate(
-            [(a * deleted + contracted) % q for a in range(q)])
+        return ((t_e * rec(rest) + rec(contracted_rest)) % q).ravel()
 
-    values = rec(edges)
-    return int(np.count_nonzero(values))
+    return int(np.count_nonzero(rec(edges)))
 
 
 def _count_direct(g: Multigraph, q: int) -> int:

@@ -20,6 +20,7 @@ none of its stages.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Any, Iterator, NamedTuple
@@ -295,62 +296,42 @@ def enumerate_constructions(max_edges: int) -> Iterator[MelonicConstruction]:
     if max_edges < 1:
         raise ValueError("max_edges must be at least 1")
 
-    catalog_cache: dict[int, list[tuple[Node, int]]] = {}
+    @functools.cache
+    def catalog(budget: int) -> list[tuple[int, Node]]:
+        """Every subtree costing 1..budget edges, as sorted (cost, node)."""
+        return sorted((budget - left, (tup, forest))
+                      for w in range(2, budget + 2)
+                      for tup in _compositions(w) if len(tup) >= 2
+                      for forest, left in forests(tup, budget - (w - 1)))
 
-    def catalog(budget: int) -> list[tuple[Node, int]]:
-        """All subtrees costing 1..budget edges, sorted by cost."""
-        if budget < 1:
-            return []
-        cached = catalog_cache.get(budget)
-        if cached is not None:
-            return cached
-        items: list[tuple[Node, int]] = []
-        for w in range(2, budget + 2):
-            own = w - 1
-            for tup in _compositions(w):
-                if len(tup) < 2:
-                    continue
-                for forest, fcost in _forests(tup, budget - own):
-                    items.append(((tup, forest), own + fcost))
-        items.sort(key=lambda item: (item[1], item[0]))
-        catalog_cache[budget] = items
-        return items
-
-    def _slot_sets(cap: int, budget: int) -> Iterator[tuple[tuple[Node, ...], int]]:
-        """Sorted tuples of child subtrees for one banana slot."""
+    def forests(tup: tuple[int, ...], budget: int
+                ) -> Iterator[tuple[tuple[tuple[Node, ...], ...], int]]:
+        """Each way to hang sorted catalog subtrees on the slots of tup
+        within budget, with the budget it leaves.  A banana of size a >= 2
+        takes at most a children, a 1-banana none."""
         cands = catalog(budget)
 
-        def rec(start: int, remaining: int,
-                room: int) -> Iterator[tuple[tuple[Node, ...], int]]:
-            yield (), 0
-            if room == 0:
-                return
-            for i in range(start, len(cands)):
-                node, cost = cands[i]
-                if cost > remaining:
-                    break
-                for rest, rcost in rec(i, remaining - cost, room - 1):
-                    yield (node,) + rest, cost + rcost
-
-        for children, cost in rec(0, budget, cap):
-            yield tuple(sorted(children)), cost
-
-    def _forests(tup: tuple[int, ...],
-                 budget: int) -> Iterator[tuple[tuple[tuple[Node, ...], ...], int]]:
-        def rec(j: int, remaining: int) -> Iterator[tuple[tuple[tuple[Node, ...], ...], int]]:
+        def rec(j: int, start: int, kids: tuple[Node, ...], left: int
+                ) -> Iterator[tuple[tuple[tuple[Node, ...], ...], int]]:
             if j == len(tup):
-                yield (), 0
+                yield (), left
                 return
-            cap = tup[j] if tup[j] >= 2 else 0
-            for children, ccost in _slot_sets(cap, remaining):
-                for rest, rcost in rec(j + 1, remaining - ccost):
-                    yield (children,) + rest, ccost + rcost
+            # close slot j before growing it: callers sample this order
+            closed = tuple(sorted(kids))
+            for rest, rest_left in rec(j + 1, 0, (), left):
+                yield (closed,) + rest, rest_left
+            if tup[j] >= 2 and len(kids) < tup[j]:
+                for i in range(start, len(cands)):
+                    cost, node = cands[i]
+                    if cost > left:
+                        break
+                    yield from rec(j, i, kids + (node,), left - cost)
 
-        yield from rec(0, budget)
+        return rec(0, 0, (), budget)
 
     for w1 in range(1, max_edges + 1):
         for tup in _compositions(w1):
-            for forest, _ in _forests(tup, max_edges - w1):
+            for forest, _ in forests(tup, max_edges - w1):
                 yield _linearize((tup, forest))
 
 

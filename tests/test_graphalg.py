@@ -187,6 +187,30 @@ def test_count_methods_agree_on_general_multigraphs(rng):
     assert min(shapes.values()) >= 10, shapes
 
 
+def test_count_methods_agree_at_dtype_boundaries():
+    # the DP table's dtype holds q * (q - 1): uint8 up to q = 13, uint16
+    # from q = 17, uint32 from q = 257 and uint64 from q = 65,537; there a
+    # product of two nonzero values needs q^2 points, past the budget, so
+    # one loop checks only that the table holds q - 1
+    small = [Multigraph(2, ((0, 1),)), Multigraph(1, ((0, 0),)),
+             Multigraph(2, ((0, 1), (1, 0))), Multigraph(2, ((0, 0), (0, 1))),
+             Multigraph(1, ((0, 0), (0, 0))), Multigraph(3, ((0, 1), (1, 2)))]
+    larger = [Multigraph(3, ((0, 1), (1, 2), (2, 0))),
+              Multigraph(2, ((0, 1), (0, 1), (1, 0), (1, 1))),
+              Multigraph(3, ((0, 1), (1, 2), (2, 0), (0, 1))),
+              Multigraph(4, ((0, 1), (1, 2), (2, 3), (3, 0)))]
+    for q, graphs in ((13, small + larger), (17, small + larger),
+                      (257, small)):
+        for g in graphs:
+            assert (ga.count_complement_points(g, q, method="dp")
+                    == ga.count_complement_points(g, q, method="direct")), \
+                (g, q)
+    loop = Multigraph(1, ((0, 0),))
+    assert (ga.count_complement_points(loop, 65537, method="dp")
+            == ga.count_complement_points(loop, 65537, method="direct")
+            == 65536)
+
+
 def test_count_loop_graph():
     # one loop: Psi = t, so q - 1 points survive
     g = Multigraph(1, ((0, 0),))

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -295,6 +296,16 @@ def test_enumerate_all_valid_reduced_canonical():
         key = mel.serialize(c)
         assert key not in seen
         seen.add(key)
+
+
+def test_enumerate_order_is_pinned():
+    # tests sample the enumeration with islice, so its order is part of
+    # its contract, not only its set
+    text = "".join(mel.serialize(c) + "\n"
+                   for c in mel.enumerate_constructions(8))
+    assert text.count("\n") == 3096
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "45b50f11e6a82faf40fd2dcf241fa4c0b2f5748172c30c71efa8563c9022f35f")
 
 
 def test_enumerate_rejects_nonpositive():
