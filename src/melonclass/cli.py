@@ -340,7 +340,12 @@ def main(argv: list[str] | None = None) -> int:
         for q in getattr(args, "verify", None) or ():
             graphalg.check_modulus(q, args.budget or graphalg.DEFAULT_BUDGET)
         exit_code, text = args.func(args)
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            # the reader has closed stdout: the rest of the report goes
+            # nowhere, and so does the flush at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return exit_code
     except graphalg.NonPrimeModulus as exc:
         parser.error(f"argument --verify: {exc}")

@@ -157,34 +157,87 @@ def check_modulus(q: int, budget: int) -> None:
         raise NonPrimeModulus(f"{q} is not prime")
 
 
+def _relabel(edges) -> tuple[tuple[int, int], ...]:
+    """The same edges, in the same order, with the vertices renumbered
+    0, 1, ... in order of first appearance."""
+    names: dict[int, int] = {}
+    return tuple((names.setdefault(u, len(names)),
+                  names.setdefault(v, len(names))) for u, v in edges)
+
+
+def _minors(edges: tuple[tuple[int, int], ...]) -> tuple:
+    """(G - e, G / e) for the last edge e, each relabelled.  G / e is None
+    when e is a loop, where Psi = t_e Psi(G-e); G - e is None when e is a
+    bridge, where Psi = Psi(G/e)."""
+    (u, v), rest = edges[-1], edges[:-1]
+    if u == v:
+        return _relabel(rest), None
+    contracted = _relabel((u if x == v else x, u if y == v else y)
+                          for x, y in rest)
+    if _components({w for e in edges for w in e}, rest) > 1:
+        return None, contracted
+    return _relabel(rest), contracted
+
+
+def _nonzero(table: np.ndarray) -> int:
+    return int(np.count_nonzero(table))
+
+
 def _count_dp(edges: tuple[tuple[int, int], ...], q: int) -> int:
-    """Value table of Psi mod q over all q^|E| points, by
-    contraction-deletion on the last edge; returns the nonzero count.
+    """#{Psi != 0} over F_q^|E| by contraction-deletion on the last edge e,
+    where Psi = t_e A + B with A = Psi(G-e) and B = Psi(G/e).
 
-    With index t_n q^{n-1} + ... + t_1 (last edge most significant), row
-    t_e of a q x q^{|E|-1} table is the block where the last edge is t_e:
-      loop e:    Psi = t_e Psi(G-e)            -> t_e * A
-      bridge e:  Psi = Psi(G/e)                -> q copies of B
-      else:      Psi = t_e Psi(G-e) + Psi(G/e) -> t_e * A + B
-    The dtype holds (q-1)*(q-1) + (q-1) = q*(q-1) before the reduction.
+    Where A != 0, t_e A + B vanishes for exactly one t_e; where A = 0 it
+    vanishes for every t_e or for none, as B does.  So the count is
+    (q-1) #{A != 0} + q #{A = 0, B != 0}, read off the two tables of
+    q^{|E|-1} values; no q^|E| table is built.
+
+    A table lists Psi mod q over F_q^n, indexed t_n q^{n-1} + ... + t_1
+    (last edge most significant), so row t_e of its q x q^{n-1} form is
+    the block where the last edge is t_e.  A bridge gives q copies of B;
+    otherwise row 0 is B (0 for a loop) and row t_e is row t_e - 1 plus
+    A, reduced mod q by one conditional subtraction: the dtype holds
+    2q - 2, and row - q wraps round past row when row < q.
+
+    Minors recur, so levels[d] maps each distinct minor with |E| - d edges,
+    its vertices renumbered by _relabel, to its own two minors.  The
+    tables are built one level at a time from the bottom, and a level's
+    tables are dropped once the level above is built.
     """
-    dtype = np.min_scalar_type(q * (q - 1))
-    t_e = np.arange(q, dtype=dtype)[:, None]
+    if not edges:
+        return 1
+    levels = [{edges: _minors(edges)}]
+    while len(levels) < len(edges):
+        below = {m for pair in levels[-1].values() for m in pair
+                 if m is not None}
+        levels.append({es: _minors(es) for es in below})
 
-    def rec(es: tuple[tuple[int, int], ...]) -> np.ndarray:
-        if not es:
-            return np.ones(1, dtype=dtype)
-        (u, v), rest = es[-1], es[:-1]
-        if u == v:
-            return (t_e * rec(rest) % q).ravel()
-        contracted_rest = tuple(
-            (u if x == v else x, u if y == v else y) for x, y in rest)
-        vertices = {w for e in es for w in e}
-        if _components(vertices, rest) > 1:  # bridge: Psi has no t_e term
-            return np.tile(rec(contracted_rest), q)
-        return ((t_e * rec(rest) + rec(contracted_rest)) % q).ravel()
+    dtype = np.min_scalar_type(2 * q - 2)
 
-    return int(np.count_nonzero(rec(edges)))
+    def tabulate(rest, contracted, tables: dict) -> np.ndarray:
+        if rest is None:
+            return np.tile(tables[contracted], q)
+        a = tables[rest]
+        table = np.empty((q, a.size), dtype=dtype)
+        table[0] = 0 if contracted is None else tables[contracted]
+        for t in range(1, q):
+            row = table[t - 1] + a
+            np.minimum(row, row - q, out=table[t])
+        return table.ravel()
+
+    tables = {(): np.ones(1, dtype=dtype)}
+    for level in reversed(levels[1:]):
+        tables = {es: tabulate(*pair, tables) for es, pair in level.items()}
+    rest, contracted = levels[0][edges]
+    if rest is None:
+        return q * _nonzero(tables[contracted])
+    a = tables[rest]
+    if contracted is None:
+        return (q - 1) * _nonzero(a)
+    b = tables[contracted]
+    # #{A = 0, B != 0} = #{B != 0} - #{A != 0, B != 0}
+    return ((q - 1) * _nonzero(a)
+            + q * (_nonzero(b) - _nonzero(np.minimum(a, b))))
 
 
 def _count_direct(g: Multigraph, q: int) -> int:
@@ -213,7 +266,7 @@ def count_complement_points(g: Multigraph, q: int,
                             method: str = "dp") -> int:
     """Exact #{t in F_q^|E| : Psi(t) != 0}.
 
-    method "dp" tabulates Psi by contraction-deletion (fast), "direct"
+    method "dp" counts by contraction-deletion (fast), "direct"
     evaluates the spanning-tree monomials point by point (simple); both
     are exact and are cross-checked in the test suite.  budget caps the
     q^|E| points enumerated; None means 10**8.

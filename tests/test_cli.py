@@ -579,6 +579,20 @@ def test_console_script_entry():
     assert proc.stdout == "[2, 3, 1]\n"
 
 
+def test_closed_stdout_keeps_exit_code():
+    # `melon tables --m 1..10 | head -1`: a reader that has gone before
+    # the report is written leaves the command's exit code and no stderr
+    for argv in (["tables", "--m", "1..10"], ["search", "--max-edges", "6"]):
+        proc = subprocess.Popen([sys.executable, "-m", "melonclass", *argv],
+                                env=src_env(), stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 0, (argv, err)
+        assert err == b"", argv
+
+
 def _run(argv: list[str], capsys) -> tuple[int, object]:
     """Exit code and captured output of one run, usage errors included."""
     try:

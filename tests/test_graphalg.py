@@ -1,7 +1,9 @@
+import gc
 import itertools
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -188,10 +190,12 @@ def test_count_methods_agree_on_general_multigraphs(rng):
 
 
 def test_count_methods_agree_at_dtype_boundaries():
-    # the DP table's dtype holds q * (q - 1): uint8 up to q = 13, uint16
-    # from q = 17, uint32 from q = 257 and uint64 from q = 65,537; there a
-    # product of two nonzero values needs q^2 points, past the budget, so
-    # one loop checks only that the table holds q - 1
+    # a table's dtype holds 2q - 2, a row plus A before the row is reduced:
+    # uint8 up to q = 127, uint16 from q = 131 and uint32 from q = 32,771.
+    # Three loops build the two-loop table from rows of 0..q-1, whose sums
+    # pass 255 at q = 131; graphs of at most 2 edges build tables of one
+    # edge only.  One loop builds no table at all, so q = 65,537 checks only
+    # the count read off the empty graph's table
     small = [Multigraph(2, ((0, 1),)), Multigraph(1, ((0, 0),)),
              Multigraph(2, ((0, 1), (1, 0))), Multigraph(2, ((0, 0), (0, 1))),
              Multigraph(1, ((0, 0), (0, 0))), Multigraph(3, ((0, 1), (1, 2)))]
@@ -199,16 +203,78 @@ def test_count_methods_agree_at_dtype_boundaries():
               Multigraph(2, ((0, 1), (0, 1), (1, 0), (1, 1))),
               Multigraph(3, ((0, 1), (1, 2), (2, 0), (0, 1))),
               Multigraph(4, ((0, 1), (1, 2), (2, 3), (3, 0)))]
+    loops = Multigraph(1, ((0, 0),) * 3)
     for q, graphs in ((13, small + larger), (17, small + larger),
-                      (257, small)):
+                      (127, small), (131, small), (257, small)):
         for g in graphs:
             assert (ga.count_complement_points(g, q, method="dp")
                     == ga.count_complement_points(g, q, method="direct")), \
                 (g, q)
+    for q in (127, 131, 257):
+        assert ga.count_complement_points(loops, q) == (q - 1) ** 3, q
     loop = Multigraph(1, ((0, 0),))
     assert (ga.count_complement_points(loop, 65537, method="dp")
             == ga.count_complement_points(loop, 65537, method="direct")
             == 65536)
+
+
+def _cycle(n: int) -> Multigraph:
+    return Multigraph(n, tuple((i, (i + 1) % n) for i in range(n)))
+
+
+K4 = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+
+def test_count_dp_cases():
+    # the count is read off A = Psi(G-e) and B = Psi(G/e) for the last
+    # edge e: a loop has no B and a bridge no A, and a single edge is both
+    # the whole graph and a loop or a bridge.  Bananas, cycles and K4 have
+    # minors that coincide once renumbered, so they share tables.  The
+    # direct count of 7^7 points takes a second, so K4 stops at q = 5
+    cases = [(Multigraph(3, ((0, 1), (1, 2), (2, 0), (1, 1))), 7),
+             (Multigraph(4, ((0, 1), (1, 2), (2, 0), (2, 3))), 7),
+             (Multigraph(3, ((0, 1), (1, 1), (1, 2), (2, 0))), 7),
+             (Multigraph(1, ((0, 0),)), 7), (Multigraph(2, ((0, 1),)), 7),
+             (banana(5), 7), (_cycle(5), 7),
+             (Multigraph(4, K4 + ((1, 2),)), 5),
+             (Multigraph(4, ((0, 1),) + K4), 5)]
+    for g, top in cases:
+        for q in (2, 3, 5, 7):
+            if q <= top:
+                assert (ga.count_complement_points(g, q, method="dp")
+                        == ga.count_complement_points(g, q,
+                                                      method="direct")), \
+                    (g, q)
+
+
+def test_minors_are_relabelled():
+    assert ga._relabel(((3, 1), (1, 3), (3, 3))) == ((0, 1), (1, 0), (0, 0))
+    assert ga._minors(banana(3).edges) == (((0, 1),) * 2, ((0, 0),) * 2)
+    assert ga._minors(_cycle(4).edges) == (
+        ((0, 1), (1, 2), (2, 3)), ((0, 1), (1, 2), (2, 0)))
+    assert ga._minors(((0, 1), (1, 2))) == (None, ((0, 1),))
+    assert ga._minors(((0, 1), (1, 1))) == (((0, 1),), None)
+
+
+def test_count_dp_frees_its_tables():
+    # every table is dropped when the count returns, without waiting for
+    # the garbage collector: at q = 7 the tables of this 9-edge graph
+    # take about 9 MiB at their peak
+    g = Multigraph(4, K4 + ((0, 1), (2, 3), (3, 3)))
+    ga.count_complement_points(g, 7)
+    enabled = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ga.count_complement_points(g, 7)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        if enabled:
+            gc.enable()
+    assert peak - before > 4 << 20
+    assert after - before < 1 << 20
 
 
 def test_count_loop_graph():
