@@ -189,23 +189,27 @@ def _count_dp(edges: tuple[tuple[int, int], ...], q: int) -> int:
 
     Where A != 0, t_e A + B vanishes for exactly one t_e; where A = 0 it
     vanishes for every t_e or for none, as B does.  So the count is
-    (q-1) #{A != 0} + q #{A = 0, B != 0}, read off the two tables of
-    q^{|E|-1} values; no q^|E| table is built.
+    (q-1) #{A != 0} + q #{A = 0, B != 0}, summed over the rows of A and B
+    as they are made; no table of q^{|E|-1} values is stored.
 
     A table lists Psi mod q over F_q^n, indexed t_n q^{n-1} + ... + t_1
-    (last edge most significant), so row t_e of its q x q^{n-1} form is
-    the block where the last edge is t_e.  A bridge gives q copies of B;
-    otherwise row 0 is B (0 for a loop) and row t_e is row t_e - 1 plus
-    A, reduced mod q by one conditional subtraction: the dtype holds
-    2q - 2, and row - q wraps round past row when row < q.
+    (last edge most significant), so row t_f of its q x q^{n-1} form is
+    the block where the last edge f is t_f.  For a bridge every row is
+    Psi(G/f); otherwise row 0 is Psi(G/f) (0 for a loop) and row t_f is
+    row t_f - 1 plus Psi(G-f), reduced mod q by one conditional
+    subtraction: the dtype holds 2q - 2, and row - q wraps round past row
+    when row < q.  A and B share their last edge, so their rows pair up.
 
     Minors recur, so levels[d] maps each distinct minor with |E| - d edges,
     its vertices renumbered by _relabel, to its own two minors.  The
-    tables are built one level at a time from the bottom, and a level's
-    tables are dropped once the level above is built.
+    tables are built one level at a time from the bottom up to level 2,
+    and a level's tables are dropped once the level above is built.
     """
     if not edges:
         return 1
+    if len(edges) == 1:
+        (u, v), = edges
+        return q - 1 if u == v else q
     levels = [{edges: _minors(edges)}]
     while len(levels) < len(edges):
         below = {m for pair in levels[-1].values() for m in pair
@@ -214,30 +218,33 @@ def _count_dp(edges: tuple[tuple[int, int], ...], q: int) -> int:
 
     dtype = np.min_scalar_type(2 * q - 2)
 
-    def tabulate(rest, contracted, tables: dict) -> np.ndarray:
+    def rows(rest, contracted, tables: dict):
+        """The q rows of the table of a minor with the given two minors."""
         if rest is None:
-            return np.tile(tables[contracted], q)
+            yield from itertools.repeat(tables[contracted], q)
+            return
         a = tables[rest]
-        table = np.empty((q, a.size), dtype=dtype)
-        table[0] = 0 if contracted is None else tables[contracted]
-        for t in range(1, q):
-            row = table[t - 1] + a
-            np.minimum(row, row - q, out=table[t])
-        return table.ravel()
+        row = np.zeros_like(a) if contracted is None else tables[contracted]
+        yield row
+        for _ in range(1, q):
+            row = row + a
+            np.minimum(row, row - q, out=row)
+            yield row
 
     tables = {(): np.ones(1, dtype=dtype)}
-    for level in reversed(levels[1:]):
-        tables = {es: tabulate(*pair, tables) for es, pair in level.items()}
-    rest, contracted = levels[0][edges]
-    if rest is None:
-        return q * _nonzero(tables[contracted])
-    a = tables[rest]
-    if contracted is None:
-        return (q - 1) * _nonzero(a)
-    b = tables[contracted]
+    for level in reversed(levels[2:]):
+        tables = {es: np.concatenate(list(rows(*pair, tables)))
+                  for es, pair in level.items()}
+    a_rows, b_rows = (None if m is None else rows(*levels[1][m], tables)
+                      for m in levels[0][edges])
+    if a_rows is None:
+        return q * sum(map(_nonzero, b_rows))
+    if b_rows is None:
+        return (q - 1) * sum(map(_nonzero, a_rows))
     # #{A = 0, B != 0} = #{B != 0} - #{A != 0, B != 0}
-    return ((q - 1) * _nonzero(a)
-            + q * (_nonzero(b) - _nonzero(np.minimum(a, b))))
+    return sum((q - 1) * _nonzero(a) + q * (_nonzero(b)
+                                            - _nonzero(np.minimum(a, b)))
+               for a, b in zip(a_rows, b_rows))
 
 
 def _count_direct(g: Multigraph, q: int) -> int:

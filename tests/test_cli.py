@@ -665,25 +665,48 @@ FUZZ_TOKENS = ("0", "-1", "1", "2", "3", "x", "1.5", "", "2,2", "2,3", "6",
                "--m", "--n", "--format")
 
 
+def _fuzz_bases(f: dict[str, str]) -> list[list[str]]:
+    """One valid, small run of each subcommand."""
+    return [["family", "g", "--m", "3", "--n", "2", "--basis", "T"],
+            ["tables", "--m", "1..3", "--which", "ulcm", "--format", "json"],
+            ["class", f["c.json"], "--verify", "2,3", "--budget", "200"],
+            ["necklace", "clasped", "--m", "2", "--n", "3", "--verify",
+             "2", "--budget", "200", "--format", "json"],
+            ["necklace", "plain", "--m", "2", "--n", "3", "--verify", "2",
+             "--budget", "200"],
+            ["search", "--max-edges", "3", "--workers", "1"],
+            ["oracle", f["g.txt"], "--verify", "3", "--format", "md"]]
+
+
+def _mutate_argv(rng, argv: list[str], files: list[str]) -> None:
+    """Replace, drop or insert one argument after the subcommand."""
+    i = rng.randrange(1, len(argv))
+    kind = rng.choice(("replace", "replace", "drop", "insert"))
+    if kind == "drop":
+        del argv[i]
+    else:
+        token = rng.choice(FUZZ_TOKENS + tuple(files))
+        argv[i:i + (kind == "replace")] = [token]
+
+
 def test_fuzzed_arguments_exit_cleanly(tmp_path, capsys, rng):
     f = _sweep_files(tmp_path)
-    bases = [["family", "g", "--m", "3", "--n", "2", "--basis", "T"],
-             ["tables", "--m", "1..3", "--which", "ulcm", "--format", "json"],
-             ["class", f["c.json"], "--verify", "2,3", "--budget", "200"],
-             ["necklace", "clasped", "--m", "2", "--n", "3", "--verify",
-              "2", "--budget", "200", "--format", "json"],
-             ["necklace", "plain", "--m", "2", "--n", "3", "--verify", "2",
-              "--budget", "200"],
-             ["search", "--max-edges", "3", "--workers", "1"],
-             ["oracle", f["g.txt"], "--verify", "3", "--format", "md"]]
+    bases = _fuzz_bases(f)
     files = list(f.values())
     for _ in range(600):
         argv = list(rng.choice(bases))
-        i = rng.randrange(1, len(argv))
-        kind = rng.choice(("replace", "replace", "drop", "insert"))
-        if kind == "drop":
-            del argv[i]
-        else:
-            token = rng.choice(FUZZ_TOKENS + tuple(files))
-            argv[i:i + (kind == "replace")] = [token]
+        _mutate_argv(rng, argv, files)
+        _assert_clean_exit(*_run(argv, capsys), codes=(0, 2, 3, 4))
+
+
+def test_fuzzed_argument_combinations_exit_cleanly(tmp_path, capsys, rng):
+    # two or three mutations of one run: a flag can lose its value, take
+    # another flag's, or appear twice
+    f = _sweep_files(tmp_path)
+    bases = _fuzz_bases(f)
+    files = list(f.values())
+    for _ in range(600):
+        argv = list(rng.choice(bases))
+        for _ in range(rng.randint(2, 3)):
+            _mutate_argv(rng, argv, files)
         _assert_clean_exit(*_run(argv, capsys), codes=(0, 2, 3, 4))

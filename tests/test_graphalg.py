@@ -192,10 +192,10 @@ def test_count_methods_agree_on_general_multigraphs(rng):
 def test_count_methods_agree_at_dtype_boundaries():
     # a table's dtype holds 2q - 2, a row plus A before the row is reduced:
     # uint8 up to q = 127, uint16 from q = 131 and uint32 from q = 32,771.
-    # Three loops build the two-loop table from rows of 0..q-1, whose sums
-    # pass 255 at q = 131; graphs of at most 2 edges build tables of one
-    # edge only.  One loop builds no table at all, so q = 65,537 checks only
-    # the count read off the empty graph's table
+    # Three loops stream the rows of the two-loop minor from the one-loop
+    # table, rows of 0..q-1 whose sums pass 255 at q = 131; graphs of at
+    # most 2 edges stream rows of one edge only.  One loop builds no table
+    # and no row, so q = 65,537 checks only the one-edge count
     small = [Multigraph(2, ((0, 1),)), Multigraph(1, ((0, 0),)),
              Multigraph(2, ((0, 1), (1, 0))), Multigraph(2, ((0, 0), (0, 1))),
              Multigraph(1, ((0, 0), (0, 0))), Multigraph(3, ((0, 1), (1, 2)))]
@@ -228,13 +228,27 @@ K4 = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 def test_count_dp_cases():
     # the count is read off A = Psi(G-e) and B = Psi(G/e) for the last
     # edge e: a loop has no B and a bridge no A, and a single edge is both
-    # the whole graph and a loop or a bridge.  Bananas, cycles and K4 have
-    # minors that coincide once renumbered, so they share tables.  The
-    # direct count of 7^7 points takes a second, so K4 stops at q = 5
+    # the whole graph and a loop or a bridge.  The rows of A and B come
+    # from the next edge f of each minor: f a loop in G-e, a bridge in G-e,
+    # a loop in G/e (e parallel to f), a bridge in G/e (so also in G-e, or
+    # e is a bridge); graphs of two edges keep no table but the empty
+    # graph's.  Bananas, cycles and K4 have minors that coincide once
+    # renumbered, so they share tables.  The direct count of 7^7 points
+    # takes a second, so K4 stops at q = 5
     cases = [(Multigraph(3, ((0, 1), (1, 2), (2, 0), (1, 1))), 7),
              (Multigraph(4, ((0, 1), (1, 2), (2, 0), (2, 3))), 7),
              (Multigraph(3, ((0, 1), (1, 1), (1, 2), (2, 0))), 7),
              (Multigraph(1, ((0, 0),)), 7), (Multigraph(2, ((0, 1),)), 7),
+             (Multigraph(3, ((0, 1), (1, 2), (2, 0), (1, 1), (0, 1))), 7),
+             (_cycle(4), 7),
+             (Multigraph(3, ((0, 1), (1, 2), (2, 0), (2, 0))), 7),
+             (Multigraph(4, ((0, 1), (1, 2), (2, 0), (0, 3), (1, 2))), 7),
+             (Multigraph(5, ((0, 1), (1, 2), (2, 0), (2, 3), (3, 4))), 7),
+             (Multigraph(3, ((0, 1), (1, 2), (2, 0), (1, 1), (0, 0))), 7),
+             (Multigraph(1, ((0, 0), (0, 0))), 7),
+             (Multigraph(2, ((0, 0), (0, 1))), 7),
+             (Multigraph(2, ((0, 1), (1, 1))), 7),
+             (Multigraph(3, ((0, 1), (1, 2))), 7), (banana(2), 7),
              (banana(5), 7), (_cycle(5), 7),
              (Multigraph(4, K4 + ((1, 2),)), 5),
              (Multigraph(4, ((0, 1),) + K4), 5)]
@@ -256,25 +270,42 @@ def test_minors_are_relabelled():
     assert ga._minors(((0, 1), (1, 1))) == (((0, 1),), None)
 
 
-def test_count_dp_frees_its_tables():
-    # every table is dropped when the count returns, without waiting for
-    # the garbage collector: at q = 7 the tables of this 9-edge graph
-    # take about 9 MiB at their peak
-    g = Multigraph(4, K4 + ((0, 1), (2, 3), (3, 3)))
-    ga.count_complement_points(g, 7)
+def _traced_count(g: Multigraph, q: int) -> tuple[int, int]:
+    """Bytes still held and the peak above the start, traced over one
+    count with the garbage collector off."""
     enabled = gc.isenabled()
     gc.disable()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        ga.count_complement_points(g, 7)
+        ga.count_complement_points(g, q)
         after, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
         if enabled:
             gc.enable()
-    assert peak - before > 4 << 20
-    assert after - before < 1 << 20
+    return after - before, peak - before
+
+
+def test_count_dp_frees_its_tables():
+    # every table is dropped when the count returns, without waiting for
+    # the garbage collector: at q = 5 the tables and rows of this 11-edge
+    # graph take about 17 MiB at their peak
+    g = Multigraph(4, K4 + ((0, 1), (2, 3), (3, 3), (1, 2), (0, 3)))
+    ga.count_complement_points(g, 5)
+    residue, peak = _traced_count(g, 5)
+    assert peak > 4 << 20
+    assert residue < 1 << 20
+
+
+def test_count_dp_stores_no_top_table():
+    # the rows of Psi(G-e) and Psi(G/e) are counted as they are made: the
+    # largest table kept has q^(|E|-2) values, so a 9-edge count at q = 7
+    # peaks at about 3.2 MiB, below one table of 7^8 one-byte values
+    g = Multigraph(4, K4 + ((0, 1), (2, 3), (3, 3)))
+    ga.count_complement_points(g, 7)
+    _, peak = _traced_count(g, 7)
+    assert peak < 7 ** 8
 
 
 def test_count_loop_graph():
