@@ -137,12 +137,23 @@ def cmd_tables(args: argparse.Namespace) -> tuple[int, str]:
     return _report(args, payload, [_render_tables_md(tables, args.which)])
 
 
-def _verify(c: melonic.MelonicConstruction, cls: ClassPoly,
-            args: argparse.Namespace) -> tuple[list[dict], list[str]]:
-    """The point counts of c's graph at the --verify primes: rows, and a
-    line for each."""
-    rows = graphalg.verify_class(melonic.to_graph(c), cls, args.verify,
-                                 budget=args.budget)
+def _count(g: graphalg.Multigraph, primes: list[int],
+           budget: int) -> dict[int, int]:
+    """The complement point counts of g at each prime, within the point
+    budget: the one path by which a command counts."""
+    return {q: graphalg.count_complement_points(g, q, budget=budget)
+            for q in primes}
+
+
+def _verify(counts: dict[int, int],
+            cls: ClassPoly) -> tuple[list[dict], list[str]]:
+    """Each count set against cls at its field size: one
+    {q, counted, expected, match} row, and one line, a prime."""
+    rows = []
+    for q, counted in counts.items():
+        expected = cls.eval_at_field_size(q)
+        rows.append({"q": q, "counted": counted, "expected": expected,
+                     "match": counted == expected})
     return rows, [f"q={r['q']}: counted {r['counted']}, expected "
                   f"{r['expected']} -> {'match' if r['match'] else 'MISMATCH'}"
                   for r in rows]
@@ -151,12 +162,15 @@ def _verify(c: melonic.MelonicConstruction, cls: ClassPoly,
 def cmd_class(args: argparse.Namespace) -> tuple[int, str]:
     with open(args.construction, "r", encoding="utf-8") as fh:
         c = melonic.from_json_dict(json.load(fh))
+    # count first: a count over the budget stops before any class work
+    counts = (_count(melonic.to_graph(c), args.verify, args.budget)
+              if args.verify else {})
     cls = melonic.class_of(c)
     coeffs = _coeff_list(cls.poly, args.basis)
     payload: dict = {"coefficients": coeffs, "basis": args.basis}
     lines = [_fmt_coeffs(coeffs)]
     if args.verify:
-        payload["verify"], checked = _verify(c, cls, args)
+        payload["verify"], checked = _verify(counts, cls)
         lines += checked
     return _report(args, payload, lines)
 
@@ -172,6 +186,10 @@ def _necklace_construction(kind: str, m: int,
 
 
 def cmd_necklace(args: argparse.Namespace) -> tuple[int, str]:
+    construction = _necklace_construction(args.kind, args.m, args.n)
+    # count first: a count over the budget stops before any class work
+    counts = (_count(melonic.to_graph(construction), args.verify, args.budget)
+              if args.verify else {})
     if args.kind == "clasped":
         cls = families.clasped_necklace_class(args.m, args.n)
     else:
@@ -181,13 +199,12 @@ def cmd_necklace(args: argparse.Namespace) -> tuple[int, str]:
                      "coefficients": coeffs, "basis": args.basis}
     lines = [_fmt_coeffs(coeffs)]
     if args.verify is not None:
-        construction = _necklace_construction(args.kind, args.m, args.n)
         match = melonic.class_of(construction).poly == cls.poly
         payload["construction_match"] = match
         lines.append("construction recursion: "
                      + ("match" if match else "MISMATCH"))
         if args.verify:
-            payload["verify"], checked = _verify(construction, cls, args)
+            payload["verify"], checked = _verify(counts, cls)
             lines += checked
     return _report(args, payload, lines)
 
@@ -230,9 +247,7 @@ def cmd_search(args: argparse.Namespace) -> tuple[int, str]:
 def cmd_oracle(args: argparse.Namespace) -> tuple[int, str]:
     with open(args.graph, "r", encoding="utf-8") as fh:
         g = graphalg.from_edge_list(fh.read())
-    primes = args.verify or [2, 3, 5]
-    counts = {q: graphalg.count_complement_points(g, q, budget=args.budget)
-              for q in primes}
+    counts = _count(g, args.verify or [2, 3, 5], args.budget)
     payload = {"vertices": g.num_vertices, "edges": len(g.edges),
                "counts": {str(q): n for q, n in counts.items()}}
     lines = [f"graph: {g.num_vertices} vertices, {len(g.edges)} edges"]
@@ -328,17 +343,19 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("--n needs --m >= 1")
     if args.command == "necklace" and args.n < 2:
         parser.error("--n must be >= 2")
-    env = os.environ.get("MELON_BUDGET")
-    # --budget wins over MELON_BUDGET; commands without --budget ignore it
-    if getattr(args, "budget", 0) is None and env:
+    # the budget is resolved here once: --budget, else MELON_BUDGET, else
+    # DEFAULT_BUDGET; commands without --budget ignore MELON_BUDGET
+    if hasattr(args, "budget") and args.budget is None:
+        env = os.environ.get("MELON_BUDGET")
         try:
-            args.budget = _positive_int(env)
+            args.budget = (_positive_int(env) if env
+                           else graphalg.DEFAULT_BUDGET)
         except argparse.ArgumentTypeError as exc:
             print(f"error: MELON_BUDGET: {exc}", file=sys.stderr)
             return EXIT_USAGE
     try:
         for q in getattr(args, "verify", None) or ():
-            graphalg.check_modulus(q, args.budget or graphalg.DEFAULT_BUDGET)
+            graphalg.check_modulus(q, args.budget)
         exit_code, text = args.func(args)
         try:
             print(text, flush=True)

@@ -18,8 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import ClassPoly
-
 
 def _is_int(value: object) -> bool:
     """A Python integer that is not a bool; nothing is converted."""
@@ -127,10 +125,7 @@ def kirchhoff_polynomial(g: Multigraph) -> frozenset[frozenset[int]]:
     """Monomial-set form of Psi: one edge-index subset per spanning tree,
     the complement of the tree."""
     all_edges = frozenset(range(len(g.edges)))
-    monomials = frozenset(all_edges - tree for tree in spanning_trees(g))
-    if len({len(m) for m in monomials}) > 1:
-        raise ValueError("Kirchhoff polynomial must be homogeneous")
-    return monomials
+    return frozenset(all_edges - tree for tree in spanning_trees(g))
 
 
 def _is_prime(q: int) -> bool:
@@ -269,16 +264,15 @@ def _count_direct(g: Multigraph, q: int) -> int:
 
 
 def count_complement_points(g: Multigraph, q: int,
-                            budget: int | None = None,
+                            budget: int = DEFAULT_BUDGET,
                             method: str = "dp") -> int:
     """Exact #{t in F_q^|E| : Psi(t) != 0}.
 
     method "dp" counts by contraction-deletion (fast), "direct"
     evaluates the spanning-tree monomials point by point (simple); both
     are exact and are cross-checked in the test suite.  budget caps the
-    q^|E| points enumerated; None means 10**8.
+    q^|E| points enumerated.
     """
-    budget = DEFAULT_BUDGET if budget is None else budget
     check_modulus(q, budget)
     size = q ** len(g.edges)
     if size > budget:
@@ -289,16 +283,3 @@ def count_complement_points(g: Multigraph, q: int,
     if method == "direct":
         return _count_direct(g, q)
     raise ValueError(f"unknown counting method {method!r}")
-
-
-def verify_class(g: Multigraph, c: ClassPoly, primes: list[int],
-                 budget: int | None = None) -> list[dict]:
-    """Count complement points at each prime and compare with the class
-    evaluated at S = q - 2; one {q, counted, expected, match} row a prime."""
-    rows = []
-    for q in primes:
-        counted = count_complement_points(g, q, budget=budget)
-        expected = c.eval_at_field_size(q)
-        rows.append({"q": q, "counted": counted, "expected": expected,
-                     "match": counted == expected})
-    return rows

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from melonclass import cli, graphalg
+from melonclass.poly import ClassPoly, IntPoly
 
 from conftest import src_env
 
@@ -210,20 +211,59 @@ def test_class_deep_chain_is_invalid_input(tmp_path, capsys):
 
 
 def test_class_budget_exceeded(tmp_path, capsys):
-    # the class and the construction recursion are done before the count
-    # runs over budget; none of it may reach stdout
+    # the count runs over budget before the class or the construction
+    # recursion starts, and nothing reaches stdout.  The plain necklace
+    # with m = 2, n = 120 has 240 edges; its class by the construction
+    # recursion takes tens of seconds, so a quick exit never started it
     path = _write_construction(tmp_path, [
         {"bananas": [10], "parent_stage": 0, "parent_banana": 1}])
+    necklace = tmp_path / "necklace.json"
+    necklace.write_text(json.dumps({"stages": [
+        {"bananas": [3], "parent_stage": 0, "parent_banana": 1},
+        {"bananas": [2] * 119, "parent_stage": 1, "parent_banana": 1}]}))
     for argv in (["class", path, "--verify", "5", "--budget", "100"],
                  ["necklace", "plain", "--m", "3", "--n", "3",
                   "--verify", "5", "--budget", "1000"],
                  ["necklace", "clasped", "--m", "2", "--n", "3",
-                  "--verify", "2,5", "--budget", "200"]):
+                  "--verify", "2,5", "--budget", "200"],
+                 ["necklace", "plain", "--m", "2", "--n", "120",
+                  "--verify", "2"],
+                 ["class", str(necklace), "--verify", "2"]):
+        start = time.monotonic()
         assert cli.main(argv) == 4, argv
+        assert time.monotonic() - start < 2, argv
         captured = capsys.readouterr()
         assert captured.out == "", argv
         assert len(captured.err.splitlines()) == 1, captured.err
         assert captured.err.startswith("error: ")
+
+
+def test_class_verify_banana(tmp_path, capsys):
+    for a in range(1, 8):
+        path = _write_construction(tmp_path, [
+            {"bananas": [a], "parent_stage": 0, "parent_banana": 1}])
+        code, out = run_cli(capsys, "class", path, "--verify", "2,3,5",
+                            "--format", "json")
+        rows = json.loads(out)["verify"]
+        assert code == 0, a
+        assert [row["q"] for row in rows] == [2, 3, 5]
+        assert all(row["match"] for row in rows), rows
+        assert all(row["counted"] == row["expected"] for row in rows), rows
+
+
+def test_class_verify_detects_perturbation(tmp_path, capsys, monkeypatch):
+    class_of = cli.melonic.class_of
+    monkeypatch.setattr(cli.melonic, "class_of",
+                        lambda c: ClassPoly(class_of(c).poly + IntPoly((1,))))
+    path = _write_construction(tmp_path, [
+        {"bananas": [3], "parent_stage": 0, "parent_banana": 1}])
+    code, out = run_cli(capsys, "class", path, "--verify", "2,3,5",
+                        "--format", "json")
+    rows = json.loads(out)["verify"]
+    assert code == 1
+    assert [row["q"] for row in rows] == [2, 3, 5]
+    assert all(not row["match"] for row in rows), rows
+    assert all(row["counted"] + 1 == row["expected"] for row in rows), rows
 
 
 def test_memory_error_is_invalid_input(tmp_path, capsys, monkeypatch):
