@@ -209,37 +209,47 @@ def cmd_necklace(args: argparse.Namespace) -> tuple[int, str]:
     return _report(args, payload, lines)
 
 
-def _search_chunk(constructions: list[melonic.MelonicConstruction]
-                  ) -> list[tuple[melonic.MelonicConstruction, list[int]]]:
-    bad = []
-    for c in constructions:
-        coeffs = tuple(melonic.class_of(c).poly.coeffs)
+def _lc_failures(classes: list[tuple[int, ...]]) -> list[tuple[int, list[int]]]:
+    """(index, failing degrees) of each coefficient list that is not LC."""
+    failures = []
+    for i, coeffs in enumerate(classes):
         ok, fails = concavity.check_lc(coeffs)
         if not ok:
-            bad.append((c, list(fails)))
-    return bad
+            failures.append((i, fails))
+    return failures
 
 
 def cmd_search(args: argparse.Namespace) -> tuple[int, str]:
     start = time.monotonic()
-    constructions = list(melonic.enumerate_constructions(args.max_edges))
-    # never more chunks than constructions, nor processes than CPUs
-    workers = min(args.workers, len(constructions))
-    if workers == 1:
-        bad = _search_chunk(constructions)
+    pairs = melonic.enumerate_constructions(args.max_edges)
+    bad = []
+    if args.workers == 1:
+        # checked as enumeration yields them, without a list
+        checked = 0
+        for c, cls in pairs:
+            ok, fails = concavity.check_lc(cls.poly.coeffs)
+            if not ok:
+                bad.append((c, fails))
+            checked += 1
     else:
-        chunks = [constructions[i::workers] for i in range(workers)]
-        bad = []
+        # the workers only check LC: each gets every workers-th class
+        pairs = list(pairs)
+        checked = len(pairs)
+        # never more chunks than constructions, nor processes than CPUs
+        workers = min(args.workers, checked)
+        chunks = [[cls.poly.coeffs for _, cls in pairs[i::workers]]
+                  for i in range(workers)]
         processes = min(workers, os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=processes) as pool:
-            for part in pool.map(_search_chunk, chunks):
-                bad.extend(part)
+            for i, part in enumerate(pool.map(_lc_failures, chunks)):
+                bad.extend((pairs[i + j * workers][0], fails)
+                           for j, fails in part)
     bad.sort(key=lambda item: melonic.serialize(item[0]))
     counterexamples = [
         {"construction": melonic.to_json_dict(c), "failing_degrees": fails}
         for c, fails in bad]
     return EXIT_OK, json.dumps(
-        {"constructions_checked": len(constructions),
+        {"constructions_checked": checked,
          "edge_bound": args.max_edges, "counterexamples": counterexamples,
          "elapsed": round(time.monotonic() - start, 3)}, indent=2)
 

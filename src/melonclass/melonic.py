@@ -1,4 +1,4 @@
-"""Melonic constructions, their multigraphs, and the recursive class algorithm.
+"""Melonic constructions, their multigraphs, and their classes.
 
 A melonic construction is an ordered list of stages (b_s, p_s, k_s): replace
 one edge of the k_s-th banana created in stage p_s with a string of bananas
@@ -11,11 +11,19 @@ ValueError unless `validate` finds nothing wrong, and converts no value.
 
 A later single-banana stage of size a only widens its parent slot by
 a - 1, and a stage on a size-1 banana describes the same graph as its
-string spliced into the parent tuple.  The class algorithm accepts any
-valid construction and applies both rewrites as it recurses.  `normalize`
-gives the canonical form: rewritten, sibling subtrees sorted, stages
-numbered depth-first.  A construction is reduced when `normalize` removes
-none of its stages.
+string spliced into the parent tuple.  `normalize` gives the canonical
+form: both rewrites applied, sibling subtrees sorted, stages numbered
+depth-first.  A construction is reduced when `normalize` removes none of
+its stages.
+
+The graph of a construction is a two-terminal series-parallel network,
+the ends of the root edge its terminals.  A network T has a triple
+(f_T, g_T, h_T) of polynomials in S, and its class is
+b_T = g_T + (S+2) f_T; the a-banana has the paper's (f_a, g_a, h_a), and
+a single edge (1, 0, 0).  `series` and `parallel` compose triples
+(Brown-Yeats, CMP 2011), so `class_of` is one fold over the tree of
+`normalize`, and `enumerate_constructions` builds each class from the
+triples of the subtrees it hangs on the root string.
 """
 
 from __future__ import annotations
@@ -23,15 +31,15 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
-from typing import Any, Iterator, NamedTuple
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from . import families as fam
 from .graphalg import Multigraph, _is_int
-from .poly import ClassPoly, IntPoly, ONE, mul
+from .poly import ClassPoly, eval_int, from_value
 
 
 class Stage(NamedTuple):
-    """One stage; a tuple of stages is also the class memo key."""
+    """One stage of a construction."""
 
     bananas: tuple[int, ...]
     parent_stage: int
@@ -142,73 +150,119 @@ def to_graph(c: MelonicConstruction) -> Multigraph:
     return Multigraph(num_vertices, kept)
 
 
-_class_memo: dict[tuple[Stage, ...], IntPoly] = {}
+# The entries of a triple are polynomials in s, or their values at one
+# integer s (see `_int_ring`).  The rules only add, subtract and
+# multiply, so they hold in either ring, given that ring's s + 2.
+Triple = tuple[Any, Any, Any]
 
 
-def _class_rec(key: tuple[Stage, ...]) -> IntPoly:
-    hit = _class_memo.get(key)
-    if hit is not None:
-        return hit
+def banana(a: int) -> Triple:
+    """The triple (f_a, g_a, h_a) of the a-banana; a = 1 is a single
+    edge, (1, 0, 0)."""
+    return fam.f_poly(a), fam.g_poly(a), fam.h_poly(a)
 
-    stages = key
-    n = len(stages)
-    if n == 1:
-        result = ONE
-        for a in stages[0][0]:
-            result = mul(result, fam.b_poly(a))
-    else:
-        tup, p, k = stages[-1]
-        ptup, pp, pk = stages[p - 1]
-        if len(tup) == 1:
-            # a single banana in the last stage only widens the parent slot
-            a = tup[0]
-            merged = Stage(ptup[:k - 1] + (ptup[k - 1] + a - 1,) + ptup[k:],
-                           pp, pk)
-            result = _class_rec(stages[:p - 1] + (merged,) + stages[p:n - 1])
-        elif ptup[k - 1] == 1:
-            # the string replaces a lone edge: splice it into the parent and
-            # shift the later slots of the parent past it
-            spliced = Stage(ptup[:k - 1] + tup + ptup[k:], pp, pk)
-            later = tuple(
-                Stage(st.bananas, p, st.parent_banana + len(tup) - 1)
-                if st.parent_stage == p and st.parent_banana > k else st
-                for st in stages[p:n - 1])
-            result = _class_rec(stages[:p - 1] + (spliced,) + later)
-        elif all(a == 1 for a in tup):
-            # a string of r 1-bananas subdivides an edge r-1 times
-            result = mul(fam._pow(fam.S_PLUS_2, len(tup) - 1),
-                         _class_rec(stages[:-1]))
-        else:
-            m = max(range(len(tup)), key=lambda i: (tup[i], -i))
-            a = tup[m]
-            t_one = stages[:-1] + (Stage(tup[:m] + (1,) + tup[m + 1:], p, k),)
-            t_del = stages[:-1] + (Stage(tup[:m] + tup[m + 1:], p, k),)
-            # the splice branch leaves the parent slot at least two edges
-            shrunk = Stage(ptup[:k - 1] + (ptup[k - 1] - 1,) + ptup[k:], pp, pk)
-            t_cut = stages[:p - 1] + (shrunk,) + stages[p:n - 1]
-            side = ONE
-            for i, ai in enumerate(tup):
-                if i != m:
-                    side = mul(side, fam.b_poly(ai))
-            result = (mul(fam.f_poly(a), _class_rec(t_one))
-                      + mul(fam.g_poly(a), _class_rec(t_del))
-                      + mul(mul(side, fam.h_poly(a)), _class_rec(t_cut)))
 
-    _class_memo[key] = result
-    return result
+def class_b(t: Triple, s2: Any = fam.S_PLUS_2) -> Any:
+    """The class b = g + (s+2) f of a network with triple t."""
+    return t[1] + s2 * t[0]
+
+
+def series(t1: Triple, t2: Triple, s2: Any = fam.S_PLUS_2) -> Triple:
+    """Two networks joined end to end: f = f1 b2 + g1 f2, g = g1 g2,
+    h = h1 b2 + b1 h2."""
+    (f1, g1, h1), (f2, g2, h2) = t1, t2
+    b1, b2 = g1 + s2 * f1, g2 + s2 * f2
+    return f1 * b2 + g1 * f2, g1 * g2, h1 * b2 + b1 * h2
+
+
+def parallel(t1: Triple, t2: Triple, s2: Any = fam.S_PLUS_2) -> Triple:
+    """Two networks on the same terminals.  In the coordinates
+    (P, D, N) = (h + (s+1) f, h - f, g + f) the rule is f = f1 P2 + D1 f2,
+    D = D1 D2, N = N1 P2 + P1 N2; then g = N - f and h = D + f."""
+    (f1, g1, h1), (f2, g2, h2) = t1, t2
+    d1, d2 = h1 - f1, h2 - f2
+    p1, p2 = d1 + s2 * f1, d2 + s2 * f2
+    f = f1 * p2 + d1 * f2
+    n = (g1 + f1) * p2 + p1 * (g2 + f2)
+    return f, n - f, d1 * d2 + f
+
+
+def _slots(tup: tuple[int, ...], forest: Iterable[list[Triple]],
+           leaf: Callable[[int], Triple] = banana,
+           s2: Any = fam.S_PLUS_2) -> Iterator[Triple]:
+    """The triple of each slot of a string of bananas, given the triples of
+    its children: a slot of size a with k children is leaf(a - k), the
+    (a - k)-banana, in parallel with them.  The string is their series."""
+    for a, kids in zip(tup, forest):
+        t = leaf(a - len(kids)) if a > len(kids) else None
+        for kid in kids:
+            t = kid if t is None else parallel(t, kid, s2)
+        yield t
+
+
+def _fold(root: Node, leaf: Callable[[int], Triple] = banana,
+          s2: Any = fam.S_PLUS_2) -> Triple:
+    """The triple of a tree, children first, from an explicit stack; a
+    child's triple is dropped once its parent has used it."""
+    join = functools.partial(series, s2=s2)
+    order = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack.extend(kid for kids in node[1] for kid in kids)
+    done: list[Triple] = []
+    # in reverse preorder a node's children end on top of `done`, in order
+    for tup, forest in reversed(order):
+        k = sum(map(len, forest))
+        kids = iter(done[len(done) - k:])
+        del done[len(done) - k:]
+        slots = _slots(tup, ([next(kids) for _ in slot] for slot in forest),
+                       leaf, s2)
+        done.append(functools.reduce(join, slots))
+    return done[0]
+
+
+# A fold can run on the values of its polynomials at s = 2^k: the rules
+# only add, subtract and multiply, so these are Python ints, and
+# `from_value` reads the class back.  Each entry of the triple of a
+# network with E edges has coefficients of total size at most 17^(E-1):
+# 1 for a single edge, and each rule at most 17 times the product of its
+# operands' bounds.  So a class has coefficients below
+# 4 * 17^(E-1) < 2^(5E) in size, and k = 5E + 1 recovers them.  Ints are
+# the faster ring up to about this many edges; past it, k outgrows the
+# coefficients of the small subtrees, and polynomials are faster.
+INT_FOLD_EDGES = 100
+
+
+def _int_ring(edges: int) -> tuple[int, Callable[[int], Triple], int]:
+    """k, the banana triples at s = 2^k and 2^k + 2, for the classes of
+    networks with at most `edges` edges."""
+    k = 5 * edges + 1
+
+    @functools.cache
+    def leaf(a: int) -> Triple:
+        return tuple(eval_int(p, 1 << k) for p in banana(a))
+
+    return k, leaf, (1 << k) + 2
 
 
 def class_of(c: MelonicConstruction) -> ClassPoly:
     """Grothendieck class of the construction's graph, a polynomial in S.
 
-    Accepts any construction, reduced or not.  Dispatches on the
-    last stage: a lone stage is a product of banana classes; a
-    single-banana stage merges into its parent; a stage on a size-1
-    banana is spliced into its parent; an all-ones stage is a repeated
-    edge subdivision; otherwise contraction-deletion on the largest
-    banana of the last stage (lowest index on ties).
+    Accepts any construction, reduced or not, and recurses nowhere.  The
+    graph is a two-terminal series-parallel network, so its class is the
+    b of one fold over its tree (`_to_tree`, siblings unsorted): a node is
+    the series of its slots, and a slot of size a with k children is
+    banana(a - k) in parallel with them.  Up to INT_FOLD_EDGES edges the
+    fold runs on ints.
     """
-    return ClassPoly(_class_rec(c.stages))
+    tree = _to_tree(c, sort=False)
+    edges = c.num_edges()
+    if edges > INT_FOLD_EDGES:
+        return ClassPoly(class_b(_fold(tree)))
+    k, leaf, s2 = _int_ring(edges)
+    return ClassPoly(from_value(class_b(_fold(tree, leaf, s2), s2), k))
 
 
 def serialize(c: MelonicConstruction) -> str:
@@ -225,12 +279,12 @@ def deserialize(text: str) -> MelonicConstruction:
 Node = tuple[tuple[int, ...], tuple[tuple["Node", ...], ...]]
 
 
-def _to_tree(c: MelonicConstruction) -> Node:
+def _to_tree(c: MelonicConstruction, sort: bool = True) -> Node:
     """Tree of c with strings on size-1 bananas spliced into their parents,
     later single-banana stages merged into their parent slots, and
-    siblings sorted.  Built from the last stage back, since a parent
-    always comes before its children; each node's tuple is built once, by
-    walking the strings spliced into it in order."""
+    siblings sorted unless sort is False.  Built from the last stage back,
+    since a parent always comes before its children; each node's tuple is
+    built once, by walking the strings spliced into it in order."""
     stages = c.stages
     sizes = [list(st.bananas) for st in stages]
     kids: list[list[list[Node]]] = [[[] for _ in st.bananas]
@@ -253,7 +307,8 @@ def _to_tree(c: MelonicConstruction) -> Node:
                     walk.append((splice[(i, j)], 0))
                 else:
                     tup.append(sizes[i][j])
-                    forest.append(tuple(sorted(kids[i][j])))
+                    forest.append(tuple(sorted(kids[i][j]) if sort
+                                        else kids[i][j]))
         if idx and len(tup) == 1:
             # a single banana of size a widens the parent slot by a - 1
             sizes[p][k] += tup[0] - 1
@@ -284,17 +339,40 @@ def normalize(c: MelonicConstruction) -> MelonicConstruction:
     return _linearize(_to_tree(c))
 
 
-def enumerate_constructions(max_edges: int) -> Iterator[MelonicConstruction]:
-    """Every reduced valid construction with at most max_edges edges.
+# The memo of the latest enumeration: the triple of each subtree and of
+# each slot (a string of one banana), keyed by its tree, at its s = 2^k.
+_class_memo: dict[Node, Triple] = {}
+
+
+def enumerate_constructions(max_edges: int
+                            ) -> Iterator[tuple[MelonicConstruction, ClassPoly]]:
+    """Every reduced valid construction with at most max_edges edges,
+    with its class.
 
     Each construction is emitted exactly once, already in canonical form:
     sibling subtrees attached to the same banana appear sorted, and stages
     are numbered in depth-first order.  Stages after the first always add
     at least two bananas; a later single-banana stage only widens its
     parent slot, so those spellings are redundant with a shorter one.
+    Each class is the series-parallel fold of `class_of`, on ints, built
+    slot by slot as the recursion closes them, from the triples in
+    `_class_memo`.
     """
+    global _class_memo
     if max_edges < 1:
         raise ValueError("max_edges must be at least 1")
+    k, leaf, s2 = _int_ring(max_edges)
+    join = functools.partial(series, s2=s2)
+    memo = _class_memo = {}
+
+    def triple(node: Node) -> Triple:
+        t = memo.get(node)
+        if t is None:
+            tup, forest = node
+            t = memo[node] = functools.reduce(join, _slots(
+                tup, ([triple(kid) for kid in kids] for kids in forest),
+                leaf, s2))
+        return t
 
     @functools.cache
     def catalog(budget: int) -> list[tuple[int, Node]]:
@@ -302,37 +380,42 @@ def enumerate_constructions(max_edges: int) -> Iterator[MelonicConstruction]:
         return sorted((budget - left, (tup, forest))
                       for w in range(2, budget + 2)
                       for tup in _compositions(w) if len(tup) >= 2
-                      for forest, left in forests(tup, budget - (w - 1)))
+                      for forest, left, _ in forests(tup, budget - (w - 1)))
 
-    def forests(tup: tuple[int, ...], budget: int
-                ) -> Iterator[tuple[tuple[tuple[Node, ...], ...], int]]:
+    def forests(tup: tuple[int, ...], budget: int, cls: int | None = None
+                ) -> Iterator[tuple[tuple[tuple[Node, ...], ...], int,
+                                    int | None]]:
         """Each way to hang sorted catalog subtrees on the slots of tup
-        within budget, with the budget it leaves.  A banana of size a >= 2
-        takes at most a children, a 1-banana none."""
-        cands = catalog(budget)
+        within budget, with the budget it leaves and, unless cls is None,
+        cls times the class of each slot.  A banana of size a >= 2 takes
+        at most a children, a 1-banana none."""
+        cands = catalog(budget) if max(tup) >= 2 else []
 
-        def rec(j: int, start: int, kids: tuple[Node, ...], left: int
-                ) -> Iterator[tuple[tuple[tuple[Node, ...], ...], int]]:
+        def rec(j: int, start: int, kids: tuple[Node, ...], left: int,
+                cls: int | None) -> Iterator[
+                    tuple[tuple[tuple[Node, ...], ...], int, int | None]]:
             if j == len(tup):
-                yield (), left
+                yield (), left, cls
                 return
             # close slot j before growing it: callers sample this order
             closed = tuple(sorted(kids))
-            for rest, rest_left in rec(j + 1, 0, (), left):
-                yield (closed,) + rest, rest_left
+            joined = (None if cls is None else
+                      cls * class_b(triple(((tup[j],), (closed,))), s2))
+            for rest, rest_left, total in rec(j + 1, 0, (), left, joined):
+                yield (closed,) + rest, rest_left, total
             if tup[j] >= 2 and len(kids) < tup[j]:
                 for i in range(start, len(cands)):
                     cost, node = cands[i]
                     if cost > left:
                         break
-                    yield from rec(j, i, kids + (node,), left - cost)
+                    yield from rec(j, i, kids + (node,), left - cost, cls)
 
-        return rec(0, 0, (), budget)
+        return rec(0, 0, (), budget, cls)
 
     for w1 in range(1, max_edges + 1):
         for tup in _compositions(w1):
-            for forest, _ in forests(tup, max_edges - w1):
-                yield _linearize((tup, forest))
+            for forest, _, cls in forests(tup, max_edges - w1, 1):
+                yield _linearize((tup, forest)), ClassPoly(from_value(cls, k))
 
 
 def _compositions(total: int) -> Iterator[tuple[int, ...]]:

@@ -31,6 +31,11 @@ class IntPoly:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("IntPoly is immutable")
 
+    def __reduce__(self) -> tuple:
+        # pickle and copy rebuild through __init__, not attribute by
+        # attribute, which __setattr__ refuses
+        return IntPoly, (self.coeffs,)
+
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
@@ -132,6 +137,19 @@ def eval_int(p: IntPoly, x: int) -> int:
     for c in reversed(p.coeffs):
         acc = acc * x + c
     return acc
+
+
+def from_value(value: int, k: int) -> IntPoly:
+    """The polynomial p with p(2^k) = value whose coefficients all lie in
+    [-2^(k-1), 2^(k-1)): the balanced base-2^k digits of value.  The
+    inverse of eval_int(p, 2^k) for such p."""
+    cs = []
+    half, mask = 1 << (k - 1), (1 << k) - 1
+    while value:
+        digit = ((value + half) & mask) - half
+        cs.append(digit)
+        value = (value - digit) >> k
+    return IntPoly(cs)
 
 
 @dataclass(frozen=True)

@@ -190,8 +190,9 @@ def test_criterion_10_point_count_oracle(criterion):
                               "with <= 9 edges at q = 2, 3, 5; 10-edge "
                               "banana at q = 2, 3"):
         checked = 0
-        for c in melonic.enumerate_constructions(9):
+        for c, enumerated in melonic.enumerate_constructions(9):
             cls = melonic.class_of(c)
+            assert cls == enumerated, melonic.serialize(c)
             g = melonic.to_graph(c)
             for q in (2, 3, 5):
                 counted = graphalg.count_complement_points(g, q)
@@ -212,8 +213,8 @@ def test_criterion_11_degree_and_positivity(criterion):
                              "to its edge count and strictly positive "
                              "coefficients"):
         checked = 0
-        for c in melonic.enumerate_constructions(9):
-            coeffs = melonic.class_of(c).poly.coeffs
+        for c, cls in melonic.enumerate_constructions(9):
+            coeffs = cls.poly.coeffs
             assert len(coeffs) - 1 == c.num_edges(), melonic.serialize(c)
             assert all(a > 0 for a in coeffs), melonic.serialize(c)
             checked += 1

@@ -10,7 +10,8 @@ import pytest
 from melonclass import cli, graphalg
 from melonclass.poly import ClassPoly, IntPoly
 
-from conftest import src_env
+from conftest import construction, src_env
+from stage_relation import class_by_stages
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -197,24 +198,49 @@ def test_class_rejects_non_integer_fields(tmp_path, capsys):
         assert "integers" in captured.err
 
 
-def test_class_deep_chain_is_invalid_input(tmp_path, capsys):
-    # a chain deeper than the interpreter's recursion limit
+def _frames() -> int:
+    """The depth of the calling frame."""
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_class_of_chains_deeper_than_the_recursion_limit(tmp_path, capsys):
+    # the class is folded without recursion: under a recursion limit 200
+    # frames above this test, two equal chains of 150 stages on one
+    # banana print their class.  A recursion of one frame a stage could
+    # not follow them, nor could a comparison of the two chains.
+    chain = [((2, 2), 1, 1)] + [((2, 2), i, 1) for i in range(2, 151)]
+    stages = [((2,), 0, 1)] + chain + [
+        (b, 1 if p == 1 else p + 150, k) for b, p, k in chain]
     path = _write_construction(tmp_path, [
-        {"bananas": [2], "parent_stage": 0, "parent_banana": 1}] + [
-        {"bananas": [2, 2], "parent_stage": i, "parent_banana": 1}
-        for i in range(1, 1500)])
-    assert cli.main(["class", path]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert len(captured.err.splitlines()) == 1
-    assert "nested too deeply" in captured.err
+        {"bananas": list(b), "parent_stage": p, "parent_banana": k}
+        for b, p, k in stages])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frames() + 200)
+    try:
+        code, out = run_cli(capsys, "class", path)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 0
+    # the stage relation recurses through every stage
+    sys.setrecursionlimit(10_000)
+    try:
+        expected = class_by_stages(construction(*stages)).poly.coeffs
+    finally:
+        sys.setrecursionlimit(limit)
+    assert out == cli._fmt_coeffs(list(expected)) + "\n"
 
 
-def test_class_budget_exceeded(tmp_path, capsys):
-    # the count runs over budget before the class or the construction
-    # recursion starts, and nothing reaches stdout.  The plain necklace
-    # with m = 2, n = 120 has 240 edges; its class by the construction
-    # recursion takes tens of seconds, so a quick exit never started it
+def test_class_budget_exceeded(tmp_path, capsys, monkeypatch):
+    # the count runs over budget before the class, the closed form or the
+    # construction fold starts, and nothing reaches stdout
+    def class_work(*args):
+        raise AssertionError("class work before the count")
+    monkeypatch.setattr(cli.melonic, "class_of", class_work)
+    monkeypatch.setattr(cli.families, "necklace_class", class_work)
+    monkeypatch.setattr(cli.families, "clasped_necklace_class", class_work)
     path = _write_construction(tmp_path, [
         {"bananas": [10], "parent_stage": 0, "parent_banana": 1}])
     necklace = tmp_path / "necklace.json"
@@ -236,6 +262,18 @@ def test_class_budget_exceeded(tmp_path, capsys):
         assert captured.out == "", argv
         assert len(captured.err.splitlines()) == 1, captured.err
         assert captured.err.startswith("error: ")
+
+
+def test_necklace_verify_without_primes_is_quick(capsys):
+    # the 240-edge necklace against its construction, with no count
+    start = time.monotonic()
+    code, out = run_cli(capsys, "necklace", "plain", "--m", "2", "--n", "120",
+                        "--verify")
+    assert time.monotonic() - start < 2
+    assert code == 0
+    lines = out.splitlines()
+    assert len(json.loads(lines[0])) == 241
+    assert lines[1] == "construction recursion: match"
 
 
 def test_class_verify_banana(tmp_path, capsys):

@@ -72,7 +72,7 @@ def test_spanning_trees_skip_loops():
 
 
 def test_spanning_trees_match_matrix_tree():
-    for c in itertools.islice(mel.enumerate_constructions(7), 0, 840, 11):
+    for c, _ in itertools.islice(mel.enumerate_constructions(7), 0, 840, 11):
         g = mel.to_graph(c)
         assert len(ga.spanning_trees(g)) == _laplacian_tree_count(g)
 
@@ -84,7 +84,7 @@ def test_kirchhoff_banana():
 
 
 def test_kirchhoff_homogeneous_of_betti_degree():
-    for c in itertools.islice(mel.enumerate_constructions(6), 0, 238, 7):
+    for c, _ in itertools.islice(mel.enumerate_constructions(6), 0, 238, 7):
         g = mel.to_graph(c)
         monomials = ga.kirchhoff_polynomial(g)
         betti = len(g.edges) - g.num_vertices + 1
@@ -144,7 +144,7 @@ def test_count_examples():
 
 
 def test_count_methods_agree():
-    for c in itertools.islice(mel.enumerate_constructions(6), 0, 238, 5):
+    for c, _ in itertools.islice(mel.enumerate_constructions(6), 0, 238, 5):
         g = mel.to_graph(c)
         for q in (2, 3, 5):
             assert (ga.count_complement_points(g, q, method="dp")

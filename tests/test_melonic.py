@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import json
@@ -9,9 +10,10 @@ import pytest
 from melonclass import families as fam
 from melonclass import graphalg as ga
 from melonclass import melonic as mel
-from melonclass.poly import mul
+from melonclass.poly import ONE, ZERO, mul
 
 from conftest import construction
+from stage_relation import class_by_stages
 
 
 def test_validate_good():
@@ -226,7 +228,7 @@ def test_to_graph_triangle():
 
 
 def test_to_graph_edge_count_matches():
-    for c in mel.enumerate_constructions(6):
+    for c, _ in mel.enumerate_constructions(6):
         g = mel.to_graph(c)
         assert len(g.edges) == c.num_edges()
 
@@ -273,6 +275,68 @@ def test_class_of_unreduced_input():
     assert mel.class_of(c) == mel.class_of(n)
 
 
+def test_classes_match_the_stage_relation():
+    # class_of and the enumerated classes against the paper's relation
+    # applied stage by stage, on every construction with <= 8 edges
+    checked = 0
+    for c, cls in mel.enumerate_constructions(8):
+        assert cls == mel.class_of(c) == class_by_stages(c), mel.serialize(c)
+        checked += 1
+    assert checked == 3096
+
+
+def test_class_of_unreduced_input_matches_the_stage_relation(rng):
+    unreduced = 0
+    for _ in range(300):
+        c = _random_construction(rng, 12)
+        unreduced += not mel.is_reduced(c)
+        assert mel.class_of(c) == class_by_stages(c), c
+    assert unreduced >= 60
+
+
+def test_class_of_same_on_ints_and_on_polynomials(rng, monkeypatch):
+    # up to INT_FOLD_EDGES edges class_of folds on the values at s = 2^k,
+    # past it on polynomials; both rings give every class
+    cs = [_random_construction(rng, 30) for _ in range(100)]
+    cs += [construction(((m + 1,), 0, 1), ((m,) * (n - 1), 1, 1))
+           for m in (1, 4, 9) for n in (2, 5, 11)]
+    cs += [construction(((2,), 0, 1), *(((2, 2), i, 1) for i in range(1, 33))),
+           construction(((mel.INT_FOLD_EDGES,), 0, 1))]
+    assert max(c.num_edges() for c in cs) == mel.INT_FOLD_EDGES
+    on_ints = [mel.class_of(c) for c in cs]
+    monkeypatch.setattr(mel, "INT_FOLD_EDGES", 0)
+    assert [mel.class_of(c) for c in cs] == on_ints
+
+
+EDGE = (ONE, ZERO, ZERO)
+
+
+def _power(p, k):
+    return functools.reduce(mul, [p] * k, ONE)
+
+
+def test_edges_in_parallel_give_the_banana_triples():
+    # the parallel rule alone, from single edges: a edges are the a-banana
+    t = EDGE
+    for a in range(2, 201):
+        t = mel.parallel(t, EDGE)
+        assert t == (fam.f_poly(a), fam.g_poly(a), fam.h_poly(a)), a
+
+
+def test_bananas_in_series():
+    # in the coordinates (b, g, h), k a-bananas in series give
+    # (b_a^k, g_a^k, k h_a b_a^(k-1))
+    for a in range(1, 7):
+        t = (fam.f_poly(a), fam.g_poly(a), fam.h_poly(a))
+        chain = t
+        for k in range(2, 7):
+            chain = mel.series(chain, t)
+            assert mel.class_b(chain) == _power(fam.b_poly(a), k), (a, k)
+            assert chain[1] == _power(fam.g_poly(a), k), (a, k)
+            assert chain[2] == k * mul(fam.h_poly(a),
+                                       _power(fam.b_poly(a), k - 1)), (a, k)
+
+
 def test_enumerate_counts():
     counts = [len(list(mel.enumerate_constructions(n)))
               for n in range(1, 8)]
@@ -280,7 +344,7 @@ def test_enumerate_counts():
 
 
 def test_enumerate_max_edges_two():
-    got = {mel.serialize(c) for c in mel.enumerate_constructions(2)}
+    got = {mel.serialize(c) for c, _ in mel.enumerate_constructions(2)}
     assert got == {"[[[1],0,1]]", "[[[2],0,1]]", "[[[1,1],0,1]]"}
 
 
@@ -288,7 +352,7 @@ def test_enumerate_all_valid_reduced_canonical():
     # 7 edges is the first bound where a cheaper subtree sorts after a
     # dearer sibling, e.g. (1, 2) after (1, 1, 1, 1) on one banana
     seen = set()
-    for c in mel.enumerate_constructions(8):
+    for c, _ in mel.enumerate_constructions(8):
         assert mel.validate(c) == []
         assert mel.is_reduced(c)
         assert c.num_edges() <= 8
@@ -302,7 +366,7 @@ def test_enumerate_order_is_pinned():
     # tests sample the enumeration with islice, so its order is part of
     # its contract, not only its set
     text = "".join(mel.serialize(c) + "\n"
-                   for c in mel.enumerate_constructions(8))
+                   for c, _ in mel.enumerate_constructions(8))
     assert text.count("\n") == 3096
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "45b50f11e6a82faf40fd2dcf241fa4c0b2f5748172c30c71efa8563c9022f35f")

@@ -1,7 +1,11 @@
+import copy
+import pickle
+import random
+
 import pytest
 
-from melonclass.poly import (ClassPoly, IntPoly, ZERO, add, eval_int, mul,
-                             shift_var)
+from melonclass.poly import (ClassPoly, IntPoly, ZERO, add, eval_int,
+                             from_value, mul, shift_var)
 
 
 def test_canonical_form_strips_trailing_zeros():
@@ -32,6 +36,18 @@ def test_immutable():
         p.coeffs = (3,)
 
 
+def test_copies_and_pickles_are_equal():
+    # a polynomial pickles and copies whole, as a worker process needs
+    for p in (IntPoly((2, 1)), ZERO, IntPoly((-3, 0, 7))):
+        for other in (pickle.loads(pickle.dumps(p)), copy.copy(p),
+                      copy.deepcopy(p)):
+            assert other == p and other.coeffs == p.coeffs
+            assert type(other.coeffs) is tuple
+        cls = ClassPoly(p)
+        assert pickle.loads(pickle.dumps(cls)) == cls
+        assert copy.deepcopy(cls) == cls
+
+
 def test_add_sub_neg():
     p = IntPoly((1, 2, 3))
     q = IntPoly((5, -2, -3))
@@ -54,6 +70,19 @@ def test_eval_int_matches_horner():
     for x in (-5, -1, 0, 1, 4, 100):
         assert eval_int(p, x) == 7 - 3 * x + 2 * x ** 3
     assert eval_int(ZERO, 12) == 0
+
+
+def test_from_value_inverts_eval_at_a_power_of_two():
+    rng = random.Random(3)
+    for k in (2, 5, 31, 64):
+        bound = 1 << (k - 1)
+        for _ in range(200):
+            p = IntPoly(rng.randrange(-bound + 1, bound)
+                        for _ in range(rng.randrange(6)))
+            assert from_value(eval_int(p, 1 << k), k).coeffs == p.coeffs
+    # the extremes of the balanced digits
+    assert from_value(eval_int(IntPoly((-4, 3, -4)), 8), 3) == \
+        IntPoly((-4, 3, -4))
 
 
 def test_shift_var_examples():
