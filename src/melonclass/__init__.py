@@ -8,8 +8,8 @@ instead.  Subpackages:
 - poly: exact integer polynomial arithmetic
 - families: the recursive polynomial families f, g, h, b and the
   necklace / clasped-necklace closed forms
-- melonic: melonic constructions, their graphs, and the recursive
-  class algorithm
+- melonic: melonic constructions, their graphs, their enumeration, and
+  their classes by the series-parallel fold
 - graphalg: Kirchhoff polynomials and finite-field point counting
 - concavity: log-concavity, ULC, ULC(m), unimodality checkers
 - cli: command-line interface (entry point `melon`)

@@ -209,47 +209,38 @@ def cmd_necklace(args: argparse.Namespace) -> tuple[int, str]:
     return _report(args, payload, lines)
 
 
-def _lc_failures(classes: list[tuple[int, ...]]) -> list[tuple[int, list[int]]]:
-    """(index, failing degrees) of each coefficient list that is not LC."""
-    failures = []
-    for i, coeffs in enumerate(classes):
-        ok, fails = concavity.check_lc(coeffs)
+def _search(max_edges: int, shard: int = 0, shards: int = 1) -> tuple[
+        int, list[tuple[melonic.MelonicConstruction, list[int]]]]:
+    """Check the class of each construction of one shard for LC as
+    enumeration yields it: the number checked, and each construction that
+    is not LC with its failing degrees."""
+    checked, bad = 0, []
+    for c, cls in melonic.enumerate_constructions(max_edges, shard, shards):
+        ok, fails = concavity.check_lc(cls.poly.coeffs)
         if not ok:
-            failures.append((i, fails))
-    return failures
+            bad.append((c, fails))
+        checked += 1
+    return checked, bad
 
 
 def cmd_search(args: argparse.Namespace) -> tuple[int, str]:
     start = time.monotonic()
-    pairs = melonic.enumerate_constructions(args.max_edges)
-    bad = []
-    if args.workers == 1:
-        # checked as enumeration yields them, without a list
-        checked = 0
-        for c, cls in pairs:
-            ok, fails = concavity.check_lc(cls.poly.coeffs)
-            if not ok:
-                bad.append((c, fails))
-            checked += 1
+    # one shard of root strings a process, never more processes than CPUs
+    shards = min(args.workers, os.cpu_count() or 1)
+    if shards == 1:
+        results = [_search(args.max_edges)]
     else:
-        # the workers only check LC: each gets every workers-th class
-        pairs = list(pairs)
-        checked = len(pairs)
-        # never more chunks than constructions, nor processes than CPUs
-        workers = min(args.workers, checked)
-        chunks = [[cls.poly.coeffs for _, cls in pairs[i::workers]]
-                  for i in range(workers)]
-        processes = min(workers, os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=processes) as pool:
-            for i, part in enumerate(pool.map(_lc_failures, chunks)):
-                bad.extend((pairs[i + j * workers][0], fails)
-                           for j, fails in part)
-    bad.sort(key=lambda item: melonic.serialize(item[0]))
+        with ProcessPoolExecutor(max_workers=shards) as pool:
+            results = list(pool.map(
+                functools.partial(_search, args.max_edges, shards=shards),
+                range(shards)))
+    bad = sorted((item for _, part in results for item in part),
+                 key=lambda item: melonic.serialize(item[0]))
     counterexamples = [
         {"construction": melonic.to_json_dict(c), "failing_degrees": fails}
         for c, fails in bad]
     return EXIT_OK, json.dumps(
-        {"constructions_checked": checked,
+        {"constructions_checked": sum(n for n, _ in results),
          "edge_bound": args.max_edges, "counterexamples": counterexamples,
          "elapsed": round(time.monotonic() - start, 3)}, indent=2)
 

@@ -22,13 +22,14 @@ the ends of the root edge its terminals.  A network T has a triple
 b_T = g_T + (S+2) f_T; the a-banana has the paper's (f_a, g_a, h_a), and
 a single edge (1, 0, 0).  `series` and `parallel` compose triples
 (Brown-Yeats, CMP 2011), so `class_of` is one fold over the tree of
-`normalize`, and `enumerate_constructions` builds each class from the
-triples of the subtrees it hangs on the root string.
+`_to_tree`, siblings unsorted, and `enumerate_constructions` builds each
+class from the triples of the subtrees it hangs on the root string.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
@@ -344,10 +345,13 @@ def normalize(c: MelonicConstruction) -> MelonicConstruction:
 _class_memo: dict[Node, Triple] = {}
 
 
-def enumerate_constructions(max_edges: int
+def enumerate_constructions(max_edges: int, shard: int = 0, shards: int = 1
                             ) -> Iterator[tuple[MelonicConstruction, ClassPoly]]:
     """Every reduced valid construction with at most max_edges edges,
-    with its class.
+    with its class; or, given shards, only the pairs whose root string is
+    every shards-th one in root order, from the shard-th (counting from 0).
+    Shards 0 to shards - 1 together yield every pair once, each shard in
+    the order of the full enumeration.
 
     Each construction is emitted exactly once, already in canonical form:
     sibling subtrees attached to the same banana appear sorted, and stages
@@ -412,10 +416,11 @@ def enumerate_constructions(max_edges: int
 
         return rec(0, 0, (), budget, cls)
 
-    for w1 in range(1, max_edges + 1):
-        for tup in _compositions(w1):
-            for forest, _, cls in forests(tup, max_edges - w1, 1):
-                yield _linearize((tup, forest)), ClassPoly(from_value(cls, k))
+    roots = (tup for w1 in range(1, max_edges + 1)
+             for tup in _compositions(w1))
+    for tup in itertools.islice(roots, shard, None, shards):
+        for forest, _, cls in forests(tup, max_edges - sum(tup), 1):
+            yield _linearize((tup, forest)), ClassPoly(from_value(cls, k))
 
 
 def _compositions(total: int) -> Iterator[tuple[int, ...]]:

@@ -7,6 +7,12 @@ import pytest
 from melonclass.melonic import MelonicConstruction, Stage
 
 
+@pytest.fixture(autouse=True)
+def no_env_budget(monkeypatch):
+    """Every test starts without the caller's MELON_BUDGET."""
+    monkeypatch.delenv("MELON_BUDGET", raising=False)
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20260819)

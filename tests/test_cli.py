@@ -1,13 +1,13 @@
 import json
-import os
 import subprocess
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
 
-from melonclass import cli, graphalg
+from melonclass import cli, graphalg, melonic
 from melonclass.poly import ClassPoly, IntPoly
 
 from conftest import construction, src_env
@@ -397,41 +397,89 @@ def test_search_workers_match_single(capsys):
     assert a == b
 
 
+class FakePool:
+    """An in-process stand-in for ProcessPoolExecutor that records what
+    it was asked for."""
+
+    made: list["FakePool"] = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        self.chunks = 0
+        FakePool.made.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, chunks):
+        chunks = list(chunks)
+        self.chunks = len(chunks)
+        return map(fn, chunks)
+
+
+def search_json(capsys, *argv) -> dict:
+    code, out = run_cli(capsys, "search", *argv)
+    assert code == 0
+    payload = json.loads(out)
+    payload.pop("elapsed")
+    return payload
+
+
 def test_search_caps_chunks_and_processes(capsys, monkeypatch):
-    # --workers 500 must not ask the OS for 500 processes; an in-process
-    # pool records what it was asked for
-    pools = []
-
-    class FakePool:
-        def __init__(self, max_workers):
-            self.max_workers = max_workers
-            self.chunks = 0
-            pools.append(self)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, chunks):
-            chunks = list(chunks)
-            self.chunks = len(chunks)
-            return map(fn, chunks)
-
+    # --workers 500 must not ask the OS for 500 processes
+    monkeypatch.setattr(FakePool, "made", [])
     monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    code, single = run_cli(capsys, "search", "--max-edges", "4")
-    assert code == 0
-    code, many = run_cli(capsys, "search", "--max-edges", "4",
-                         "--workers", "500")
-    assert code == 0
-    a, b = json.loads(single), json.loads(many)
-    a.pop("elapsed"), b.pop("elapsed")
-    assert a == b
-    [pool] = pools
-    assert pool.max_workers <= 2
-    assert pool.chunks <= 23
+    single = search_json(capsys, "--max-edges", "4")
+    assert search_json(capsys, "--max-edges", "4", "--workers", "500") == (
+        single)
+    [pool] = FakePool.made
+    assert pool.chunks == pool.max_workers <= 2
+
+
+def test_search_reports_counterexamples_for_any_worker_count(capsys,
+                                                             monkeypatch):
+    # no class fails LC, so a stand-in check fails every odd degree
+    def check_lc(coeffs):
+        degree = len(coeffs) - 1
+        return (False, [1, degree]) if degree % 2 else (True, [])
+
+    monkeypatch.setattr(cli.concavity, "check_lc", check_lc)
+    monkeypatch.setattr(FakePool, "made", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    single = search_json(capsys, "--max-edges", "6")
+    for workers in ("3", "4"):
+        assert search_json(capsys, "--max-edges", "6",
+                           "--workers", workers) == single
+    assert [pool.chunks for pool in FakePool.made] == [3, 4]
+    found = [(melonic.from_json_dict(row["construction"]),
+              row["failing_degrees"]) for row in single["counterexamples"]]
+    odd = sorted((c for c, cls in melonic.enumerate_constructions(6)
+                  if cls.poly.degree % 2), key=melonic.serialize)
+    assert [c for c, _ in found] == odd != []
+    assert all(fails == [1, melonic.class_of(c).poly.degree]
+               for c, fails in found)
+    assert single["constructions_checked"] == 238
+
+
+def test_search_on_real_processes_matches_one_worker(capsys, monkeypatch):
+    # a 1-CPU machine would otherwise never start the process pool
+    made = []
+
+    class Pool(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            made.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    single = search_json(capsys, "--max-edges", "6")
+    assert search_json(capsys, "--max-edges", "6", "--workers", "2") == single
+    assert made == [2]
 
 
 def test_search_rejects_nonpositive_counts(capsys):
@@ -616,16 +664,13 @@ def test_oracle_rejects_too_many_vertices_before_connecting(tmp_path, capsys,
     assert "not connected" in captured.err
 
 
-def test_env_budget(tmp_path, capsys):
+def test_env_budget(tmp_path, capsys, monkeypatch):
     path = tmp_path / "g.txt"
     path.write_text("0 1\n0 1\n")
-    os.environ["MELON_BUDGET"] = "3"
-    try:
-        assert cli.main(["oracle", str(path)]) == 4
-        # explicit flag wins over the environment
-        assert cli.main(["oracle", str(path), "--budget", "1000"]) == 0
-    finally:
-        del os.environ["MELON_BUDGET"]
+    monkeypatch.setenv("MELON_BUDGET", "3")
+    assert cli.main(["oracle", str(path)]) == 4
+    # explicit flag wins over the environment
+    assert cli.main(["oracle", str(path), "--budget", "1000"]) == 0
     capsys.readouterr()
 
 

@@ -372,6 +372,27 @@ def test_enumerate_order_is_pinned():
         "45b50f11e6a82faf40fd2dcf241fa4c0b2f5748172c30c71efa8563c9022f35f")
 
 
+def test_enumerate_shards_partition_the_full_order():
+    # 1 edge has one root string, so there most shards are empty
+    for max_edges in range(1, 8):
+        full = list(mel.enumerate_constructions(max_edges))
+        position = {c: i for i, (c, _) in enumerate(full)}
+        roots = list(dict.fromkeys(c.stages[0].bananas for c, _ in full))
+        for shards in range(1, 5):
+            seen = []
+            for shard in range(shards):
+                part = list(mel.enumerate_constructions(max_edges, shard,
+                                                        shards))
+                at = [position[c] for c, _ in part]
+                assert at == sorted(at)
+                assert [cls for _, cls in part] == [full[i][1] for i in at]
+                assert list(dict.fromkeys(
+                    c.stages[0].bananas for c, _ in part)) == (
+                        roots[shard::shards])
+                seen += at
+            assert sorted(seen) == list(range(len(full)))
+
+
 def test_enumerate_rejects_nonpositive():
     with pytest.raises(ValueError):
         list(mel.enumerate_constructions(0))
