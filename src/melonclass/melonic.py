@@ -36,7 +36,7 @@ from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from . import families as fam
 from .graphalg import Multigraph, _is_int
-from .poly import ClassPoly, eval_int, from_value
+from .poly import ClassPoly, from_value, to_value
 
 
 class Stage(NamedTuple):
@@ -225,25 +225,28 @@ def _fold(root: Node, leaf: Callable[[int], Triple] = banana,
 
 
 # A fold can run on the values of its polynomials at s = 2^k: the rules
-# only add, subtract and multiply, so these are Python ints, and
-# `from_value` reads the class back.  Each entry of the triple of a
-# network with E edges has coefficients of total size at most 17^(E-1):
-# 1 for a single edge, and each rule at most 17 times the product of its
-# operands' bounds.  So a class has coefficients below
-# 4 * 17^(E-1) < 2^(5E) in size, and k = 5E + 1 recovers them.  Ints are
+# only add, subtract and multiply, so these are Python ints, exact
+# whatever their size, and `from_value` reads the class back.  Only the
+# class b is read back, never f, g or h.  The class of a graph with E
+# edges has nonnegative integer coefficients in s (the paper's first
+# sentence), and their sum b(1) is its number of points over F_3, where
+# s = 1: the points of F_3^E where Psi is not 0.  So every coefficient
+# lies in [0, 3^E], below 2^(k-1) for k = (3^E).bit_length() + 1, and
+# the balanced base-2^k digits of b(2^k) are its coefficients.  Ints are
 # the faster ring up to about this many edges; past it, k outgrows the
 # coefficients of the small subtrees, and polynomials are faster.
-INT_FOLD_EDGES = 100
+INT_FOLD_EDGES = 200
 
 
 def _int_ring(edges: int) -> tuple[int, Callable[[int], Triple], int]:
     """k, the banana triples at s = 2^k and 2^k + 2, for the classes of
-    networks with at most `edges` edges."""
-    k = 5 * edges + 1
+    networks with at most `edges` edges: k = (3^edges).bit_length() + 1,
+    about 1.6 bits an edge, holds every coefficient of such a class."""
+    k = (3 ** edges).bit_length() + 1
 
     @functools.cache
     def leaf(a: int) -> Triple:
-        return tuple(eval_int(p, 1 << k) for p in banana(a))
+        return tuple(to_value(p, k) for p in banana(a))
 
     return k, leaf, (1 << k) + 2
 
@@ -256,7 +259,8 @@ def class_of(c: MelonicConstruction) -> ClassPoly:
     b of one fold over its tree (`_to_tree`, siblings unsorted): a node is
     the series of its slots, and a slot of size a with k children is
     banana(a - k) in parallel with them.  Up to INT_FOLD_EDGES edges the
-    fold runs on ints.
+    fold runs on the values at s = 2^k, k from the bound 3^E on the
+    coefficients of a class with E edges (`_int_ring`).
     """
     tree = _to_tree(c, sort=False)
     edges = c.num_edges()

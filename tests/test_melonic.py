@@ -300,12 +300,41 @@ def test_class_of_same_on_ints_and_on_polynomials(rng, monkeypatch):
     cs = [_random_construction(rng, 30) for _ in range(100)]
     cs += [construction(((m + 1,), 0, 1), ((m,) * (n - 1), 1, 1))
            for m in (1, 4, 9) for n in (2, 5, 11)]
-    cs += [construction(((2,), 0, 1), *(((2, 2), i, 1) for i in range(1, 33))),
-           construction(((mel.INT_FOLD_EDGES,), 0, 1))]
-    assert max(c.num_edges() for c in cs) == mel.INT_FOLD_EDGES
+    cs += [construction(((2,), 0, 1), *(((2, 2), i, 1) for i in range(1, 33)))]
+    # the hardest inputs near the threshold: the widest banana, long plain
+    # and clasped necklaces, and the longest (2, 2) chain within it
+    top = mel.INT_FOLD_EDGES
+    cs += [construction(((top,), 0, 1)),
+           construction(((3,), 0, 1), ((2,) * (top // 2 - 1), 1, 1)),
+           construction(((11,), 0, 1), ((1,) + (10,) * 18, 1, 1)),
+           construction(((2,), 0, 1),
+                        *(((2, 2), i, 1) for i in range(1, (top - 2) // 3 + 1)))]
+    assert [c.num_edges() for c in cs[-4:]] == [top, top, 191, top]
+    assert max(c.num_edges() for c in cs) == top
     on_ints = [mel.class_of(c) for c in cs]
     monkeypatch.setattr(mel, "INT_FOLD_EDGES", 0)
     assert [mel.class_of(c) for c in cs] == on_ints
+
+
+def test_classes_fit_the_int_ring():
+    # the int fold reads a class back from its value at s = 2^k, which is
+    # exact when every coefficient is in [0, 3^E]: nonnegative, summing
+    # to the class at s = 1, the points of F_3^E off the hypersurface
+    def check(cls, edges):
+        k = mel._int_ring(edges)[0]
+        assert k == (3 ** edges).bit_length() + 1
+        assert min(cls.poly) >= 0
+        assert sum(cls.poly) <= 3 ** edges < 1 << (k - 1)
+
+    checked = 0
+    for c, cls in mel.enumerate_constructions(8):
+        check(cls, c.num_edges())
+        checked += 1
+    assert checked == 3096
+    for m in range(1, 13):
+        for n in range(2, 13):
+            check(fam.necklace_class(m, n), m * n)
+            check(fam.clasped_necklace_class(m, n), m * (n - 1) + 1)
 
 
 EDGE = (ONE, ZERO, ZERO)

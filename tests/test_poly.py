@@ -5,7 +5,7 @@ import random
 import pytest
 
 from melonclass.poly import (ClassPoly, IntPoly, ZERO, add, eval_int,
-                             from_value, mul, shift_var)
+                             from_value, mul, shift_var, to_value)
 
 
 def test_canonical_form_strips_trailing_zeros():
@@ -73,13 +73,18 @@ def test_eval_int_matches_horner():
 
 
 def test_from_value_inverts_eval_at_a_power_of_two():
+    # to_value(p, k) is p(2^k), and from_value inverts it whenever every
+    # coefficient lies in [-2^(k-1), 2^(k-1))
     rng = random.Random(3)
-    for k in (2, 5, 31, 64):
+    for k in (1, 2, 5, 31, 64, 477):
         bound = 1 << (k - 1)
         for _ in range(200):
-            p = IntPoly(rng.randrange(-bound + 1, bound)
-                        for _ in range(rng.randrange(6)))
-            assert from_value(eval_int(p, 1 << k), k).coeffs == p.coeffs
+            p = IntPoly(rng.randrange(-bound, bound)
+                        for _ in range(rng.randrange(8)))
+            value = to_value(p, k)
+            assert value == eval_int(p, 1 << k)
+            assert from_value(value, k).coeffs == p.coeffs
+    assert to_value(ZERO, 7) == 0
     # the extremes of the balanced digits
     assert from_value(eval_int(IntPoly((-4, 3, -4)), 8), 3) == \
         IntPoly((-4, 3, -4))
