@@ -213,12 +213,13 @@ def _search(max_edges: int, shard: int = 0, shards: int = 1) -> tuple[
         int, list[tuple[melonic.MelonicConstruction, list[int]]]]:
     """Check the class of each construction of one shard for LC as
     enumeration yields it: the number checked, and each construction that
-    is not LC with its failing degrees."""
+    is not LC with its failing degrees.  Only a failing tree is turned
+    into its construction (`melonic.linearize`)."""
     checked, bad = 0, []
-    for c, cls in melonic.enumerate_constructions(max_edges, shard, shards):
+    for tree, cls in melonic.enumerate_constructions(max_edges, shard, shards):
         ok, fails = concavity.check_lc(cls.poly.coeffs)
         if not ok:
-            bad.append((c, fails))
+            bad.append((melonic.linearize(tree), fails))
         checked += 1
     return checked, bad
 

@@ -325,8 +325,10 @@ def _to_tree(c: MelonicConstruction, sort: bool = True) -> Node:
     return node
 
 
-def _linearize(root: Node) -> MelonicConstruction:
-    """Number the stages of a tree depth-first, siblings in order."""
+def linearize(root: Node) -> MelonicConstruction:
+    """The construction of a tree: its stages numbered depth-first,
+    siblings in order.  On a canonical tree (`_to_tree`, or one that
+    `enumerate_constructions` yields) this is the canonical form."""
     stages: list[Stage] = []
     stack: list[tuple[Node, int, int]] = [(root, 0, 1)]
     while stack:
@@ -341,7 +343,7 @@ def _linearize(root: Node) -> MelonicConstruction:
 def normalize(c: MelonicConstruction) -> MelonicConstruction:
     """The canonical form of c: reduced, sibling subtrees sorted, stages
     numbered depth-first.  Equivalent constructions share it; idempotent."""
-    return _linearize(_to_tree(c))
+    return linearize(_to_tree(c))
 
 
 # The memo of the latest enumeration: the triple of each subtree and of
@@ -350,21 +352,23 @@ _class_memo: dict[Node, Triple] = {}
 
 
 def enumerate_constructions(max_edges: int, shard: int = 0, shards: int = 1
-                            ) -> Iterator[tuple[MelonicConstruction, ClassPoly]]:
-    """Every reduced valid construction with at most max_edges edges,
-    with its class; or, given shards, only the pairs whose root string is
-    every shards-th one in root order, from the shard-th (counting from 0).
-    Shards 0 to shards - 1 together yield every pair once, each shard in
-    the order of the full enumeration.
+                            ) -> Iterator[tuple[Node, ClassPoly]]:
+    """The tree of every reduced valid construction with at most max_edges
+    edges, with its class; or, given shards, only the pairs whose root
+    string is every shards-th one in root order, from the shard-th
+    (counting from 0).  Shards 0 to shards - 1 together yield every pair
+    once, each shard in the order of the full enumeration.
 
-    Each construction is emitted exactly once, already in canonical form:
-    sibling subtrees attached to the same banana appear sorted, and stages
-    are numbered in depth-first order.  Stages after the first always add
-    at least two bananas; a later single-banana stage only widens its
-    parent slot, so those spellings are redundant with a shorter one.
-    Each class is the series-parallel fold of `class_of`, on ints, built
-    slot by slot as the recursion closes them, from the triples in
-    `_class_memo`.
+    Each construction is emitted exactly once, as its canonical tree, the
+    tree `_to_tree` gives: sibling subtrees attached to the same banana
+    appear sorted.  `linearize` turns it into the construction, in
+    canonical form.  Stages after the first always add at least two
+    bananas; a later single-banana stage only widens its parent slot, so
+    those spellings are redundant with a shorter one.  Each class is the
+    series-parallel fold of `class_of`, on ints, built slot by slot as the
+    recursion closes them, from the triples in `_class_memo`.  Equal
+    classes within one call are one `ClassPoly` object, read back from
+    its value once.
     """
     global _class_memo
     if max_edges < 1:
@@ -422,9 +426,14 @@ def enumerate_constructions(max_edges: int, shard: int = 0, shards: int = 1
 
     roots = (tup for w1 in range(1, max_edges + 1)
              for tup in _compositions(w1))
+    # the class of each value seen so far: far fewer classes than trees
+    classes: dict[int, ClassPoly] = {}
     for tup in itertools.islice(roots, shard, None, shards):
-        for forest, _, cls in forests(tup, max_edges - sum(tup), 1):
-            yield _linearize((tup, forest)), ClassPoly(from_value(cls, k))
+        for forest, _, value in forests(tup, max_edges - sum(tup), 1):
+            cls = classes.get(value)
+            if cls is None:
+                cls = classes[value] = ClassPoly(from_value(value, k))
+            yield (tup, forest), cls
 
 
 def _compositions(total: int) -> Iterator[tuple[int, ...]]:

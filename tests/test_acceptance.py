@@ -190,7 +190,8 @@ def test_criterion_10_point_count_oracle(criterion):
                               "with <= 9 edges at q = 2, 3, 5; 10-edge "
                               "banana at q = 2, 3"):
         checked = 0
-        for c, enumerated in melonic.enumerate_constructions(9):
+        for t, enumerated in melonic.enumerate_constructions(9):
+            c = melonic.linearize(t)
             cls = melonic.class_of(c)
             assert cls == enumerated, melonic.serialize(c)
             g = melonic.to_graph(c)
@@ -213,7 +214,8 @@ def test_criterion_11_degree_and_positivity(criterion):
                              "to its edge count and strictly positive "
                              "coefficients"):
         checked = 0
-        for c, cls in melonic.enumerate_constructions(9):
+        for t, cls in melonic.enumerate_constructions(9):
+            c = melonic.linearize(t)
             coeffs = cls.poly.coeffs
             assert len(coeffs) - 1 == c.num_edges(), melonic.serialize(c)
             assert all(a > 0 for a in coeffs), melonic.serialize(c)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -440,14 +441,16 @@ def test_search_caps_chunks_and_processes(capsys, monkeypatch):
     assert pool.chunks == pool.max_workers <= 2
 
 
+def fail_odd_degrees(coeffs):
+    """A stand-in for `concavity.check_lc`: no class fails LC, so this
+    fails every class of odd degree, at degrees 1 and its degree."""
+    degree = len(coeffs) - 1
+    return (False, [1, degree]) if degree % 2 else (True, [])
+
+
 def test_search_reports_counterexamples_for_any_worker_count(capsys,
                                                              monkeypatch):
-    # no class fails LC, so a stand-in check fails every odd degree
-    def check_lc(coeffs):
-        degree = len(coeffs) - 1
-        return (False, [1, degree]) if degree % 2 else (True, [])
-
-    monkeypatch.setattr(cli.concavity, "check_lc", check_lc)
+    monkeypatch.setattr(cli.concavity, "check_lc", fail_odd_degrees)
     monkeypatch.setattr(FakePool, "made", [])
     monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
@@ -458,12 +461,37 @@ def test_search_reports_counterexamples_for_any_worker_count(capsys,
     assert [pool.chunks for pool in FakePool.made] == [3, 4]
     found = [(melonic.from_json_dict(row["construction"]),
               row["failing_degrees"]) for row in single["counterexamples"]]
-    odd = sorted((c for c, cls in melonic.enumerate_constructions(6)
+    odd = sorted((melonic.linearize(t)
+                  for t, cls in melonic.enumerate_constructions(6)
                   if cls.poly.degree % 2), key=melonic.serialize)
     assert [c for c, _ in found] == odd != []
     assert all(fails == [1, melonic.class_of(c).poly.degree]
                for c, fails in found)
     assert single["constructions_checked"] == 238
+
+
+def test_search_output_is_pinned(capsys, monkeypatch):
+    # the sha256 of the search JSON at 8 edges without "elapsed", taken
+    # when enumeration still built every construction: as is, and with
+    # 656 counterexamples under the stand-in check; one worker and two
+    # give the same bytes
+    def digest(workers):
+        payload = search_json(capsys, "--max-edges", "8",
+                              "--workers", workers)
+        return hashlib.sha256(
+            json.dumps(payload, indent=2).encode()).hexdigest()
+
+    monkeypatch.setattr(FakePool, "made", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    for workers in ("1", "2"):
+        assert digest(workers) == (
+            "0b6a4bdb7b6388729e925a009c4fd1304e1f93c855191e8fc7ed3ab98a752a41")
+    monkeypatch.setattr(cli.concavity, "check_lc", fail_odd_degrees)
+    for workers in ("1", "2"):
+        assert digest(workers) == (
+            "3e06deefbfc6b8cccdbe3946f114b5fe07915d61242f61127f2673a2ec164511")
+    assert [pool.chunks for pool in FakePool.made] == [2, 2]
 
 
 def test_search_on_real_processes_matches_one_worker(capsys, monkeypatch):

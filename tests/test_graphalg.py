@@ -72,8 +72,8 @@ def test_spanning_trees_skip_loops():
 
 
 def test_spanning_trees_match_matrix_tree():
-    for c, _ in itertools.islice(mel.enumerate_constructions(7), 0, 840, 11):
-        g = mel.to_graph(c)
+    for t, _ in itertools.islice(mel.enumerate_constructions(7), 0, 840, 11):
+        g = mel.to_graph(mel.linearize(t))
         assert len(ga.spanning_trees(g)) == _laplacian_tree_count(g)
 
 
@@ -84,8 +84,8 @@ def test_kirchhoff_banana():
 
 
 def test_kirchhoff_homogeneous_of_betti_degree():
-    for c, _ in itertools.islice(mel.enumerate_constructions(6), 0, 238, 7):
-        g = mel.to_graph(c)
+    for t, _ in itertools.islice(mel.enumerate_constructions(6), 0, 238, 7):
+        g = mel.to_graph(mel.linearize(t))
         monomials = ga.kirchhoff_polynomial(g)
         betti = len(g.edges) - g.num_vertices + 1
         assert {len(m) for m in monomials} <= {betti}
@@ -144,8 +144,8 @@ def test_count_examples():
 
 
 def test_count_methods_agree():
-    for c, _ in itertools.islice(mel.enumerate_constructions(6), 0, 238, 5):
-        g = mel.to_graph(c)
+    for t, _ in itertools.islice(mel.enumerate_constructions(6), 0, 238, 5):
+        g = mel.to_graph(mel.linearize(t))
         for q in (2, 3, 5):
             assert (ga.count_complement_points(g, q, method="dp")
                     == ga.count_complement_points(g, q, method="direct"))

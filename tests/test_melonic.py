@@ -228,7 +228,8 @@ def test_to_graph_triangle():
 
 
 def test_to_graph_edge_count_matches():
-    for c, _ in mel.enumerate_constructions(6):
+    for t, _ in mel.enumerate_constructions(6):
+        c = mel.linearize(t)
         g = mel.to_graph(c)
         assert len(g.edges) == c.num_edges()
 
@@ -279,7 +280,8 @@ def test_classes_match_the_stage_relation():
     # class_of and the enumerated classes against the paper's relation
     # applied stage by stage, on every construction with <= 8 edges
     checked = 0
-    for c, cls in mel.enumerate_constructions(8):
+    for t, cls in mel.enumerate_constructions(8):
+        c = mel.linearize(t)
         assert cls == mel.class_of(c) == class_by_stages(c), mel.serialize(c)
         checked += 1
     assert checked == 3096
@@ -327,8 +329,8 @@ def test_classes_fit_the_int_ring():
         assert sum(cls.poly) <= 3 ** edges < 1 << (k - 1)
 
     checked = 0
-    for c, cls in mel.enumerate_constructions(8):
-        check(cls, c.num_edges())
+    for t, cls in mel.enumerate_constructions(8):
+        check(cls, mel.linearize(t).num_edges())
         checked += 1
     assert checked == 3096
     for m in range(1, 13):
@@ -373,7 +375,8 @@ def test_enumerate_counts():
 
 
 def test_enumerate_max_edges_two():
-    got = {mel.serialize(c) for c, _ in mel.enumerate_constructions(2)}
+    got = {mel.serialize(mel.linearize(t))
+           for t, _ in mel.enumerate_constructions(2)}
     assert got == {"[[[1],0,1]]", "[[[2],0,1]]", "[[[1,1],0,1]]"}
 
 
@@ -381,7 +384,8 @@ def test_enumerate_all_valid_reduced_canonical():
     # 7 edges is the first bound where a cheaper subtree sorts after a
     # dearer sibling, e.g. (1, 2) after (1, 1, 1, 1) on one banana
     seen = set()
-    for c, _ in mel.enumerate_constructions(8):
+    for t, _ in mel.enumerate_constructions(8):
+        c = mel.linearize(t)
         assert mel.validate(c) == []
         assert mel.is_reduced(c)
         assert c.num_edges() <= 8
@@ -394,24 +398,39 @@ def test_enumerate_all_valid_reduced_canonical():
 def test_enumerate_order_is_pinned():
     # tests sample the enumeration with islice, so its order is part of
     # its contract, not only its set
-    text = "".join(mel.serialize(c) + "\n"
-                   for c, _ in mel.enumerate_constructions(8))
+    text = "".join(mel.serialize(mel.linearize(t)) + "\n"
+                   for t, _ in mel.enumerate_constructions(8))
     assert text.count("\n") == 3096
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "45b50f11e6a82faf40fd2dcf241fa4c0b2f5748172c30c71efa8563c9022f35f")
 
 
+def test_enumerated_trees_round_trip_and_share_their_classes():
+    # each tree is the canonical tree of its construction with that
+    # construction's class, and within one call equal classes are one
+    # object: as many objects as distinct classes
+    pairs = list(mel.enumerate_constructions(8))
+    for t, cls in pairs:
+        c = mel.linearize(t)
+        assert mel._to_tree(c) == t, t
+        assert mel.class_of(c) == cls, t
+    assert len(pairs) == 3096
+    assert len({id(cls) for _, cls in pairs}) == len(
+        {cls for _, cls in pairs})
+
+
 def test_enumerate_shards_partition_the_full_order():
     # 1 edge has one root string, so there most shards are empty
     for max_edges in range(1, 8):
-        full = list(mel.enumerate_constructions(max_edges))
+        full = [(mel.linearize(t), cls)
+                for t, cls in mel.enumerate_constructions(max_edges)]
         position = {c: i for i, (c, _) in enumerate(full)}
         roots = list(dict.fromkeys(c.stages[0].bananas for c, _ in full))
         for shards in range(1, 5):
             seen = []
             for shard in range(shards):
-                part = list(mel.enumerate_constructions(max_edges, shard,
-                                                        shards))
+                part = [(mel.linearize(t), cls) for t, cls in
+                        mel.enumerate_constructions(max_edges, shard, shards)]
                 at = [position[c] for c, _ in part]
                 assert at == sorted(at)
                 assert [cls for _, cls in part] == [full[i][1] for i in at]
