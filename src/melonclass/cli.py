@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from . import concavity, families, graphalg, melonic
 from .poly import ClassPoly, IntPoly, shift_var
@@ -209,15 +208,21 @@ def cmd_necklace(args: argparse.Namespace) -> tuple[int, str]:
     return _report(args, payload, lines)
 
 
-def _search(max_edges: int, shard: int = 0, shards: int = 1) -> tuple[
+def _search(max_edges: int) -> tuple[
         int, list[tuple[melonic.MelonicConstruction, list[int]]]]:
-    """Check the class of each construction of one shard for LC as
+    """Check every construction with at most max_edges edges for LC as
     enumeration yields it: the number checked, and each construction that
-    is not LC with its failing degrees.  Only a failing tree is turned
-    into its construction (`melonic.linearize`)."""
+    is not LC with its failing degrees.  `concavity.check_lc` runs once a
+    distinct class, keyed by its coefficients; only a failing tree is
+    turned into its construction (`melonic.linearize`)."""
     checked, bad = 0, []
-    for tree, cls in melonic.enumerate_constructions(max_edges, shard, shards):
-        ok, fails = concavity.check_lc(cls.poly.coeffs)
+    verdicts: dict[tuple[int, ...], tuple[bool, list[int]]] = {}
+    for tree, cls in melonic.enumerate_constructions(max_edges):
+        coeffs = cls.poly.coeffs
+        verdict = verdicts.get(coeffs)
+        if verdict is None:
+            verdict = verdicts[coeffs] = concavity.check_lc(coeffs)
+        ok, fails = verdict
         if not ok:
             bad.append((melonic.linearize(tree), fails))
         checked += 1
@@ -225,23 +230,16 @@ def _search(max_edges: int, shard: int = 0, shards: int = 1) -> tuple[
 
 
 def cmd_search(args: argparse.Namespace) -> tuple[int, str]:
+    """The search JSON of `_search`, counterexamples in `serialize` order.
+    One process does all the work; --workers is accepted and ignored."""
     start = time.monotonic()
-    # one shard of root strings a process, never more processes than CPUs
-    shards = min(args.workers, os.cpu_count() or 1)
-    if shards == 1:
-        results = [_search(args.max_edges)]
-    else:
-        with ProcessPoolExecutor(max_workers=shards) as pool:
-            results = list(pool.map(
-                functools.partial(_search, args.max_edges, shards=shards),
-                range(shards)))
-    bad = sorted((item for _, part in results for item in part),
-                 key=lambda item: melonic.serialize(item[0]))
+    checked, bad = _search(args.max_edges)
+    bad.sort(key=lambda item: melonic.serialize(item[0]))
     counterexamples = [
         {"construction": melonic.to_json_dict(c), "failing_degrees": fails}
         for c, fails in bad]
     return EXIT_OK, json.dumps(
-        {"constructions_checked": sum(n for n, _ in results),
+        {"constructions_checked": checked,
          "edge_bound": args.max_edges, "counterexamples": counterexamples,
          "elapsed": round(time.monotonic() - start, 3)}, indent=2)
 
@@ -315,7 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="check log-concavity of every class up to an "
                             "edge bound")
     p.add_argument("--max-edges", type=_positive_int, required=True)
-    p.add_argument("--workers", type=_positive_int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1,
+                   help="accepted and ignored: search runs in one process")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("oracle",

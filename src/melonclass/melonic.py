@@ -29,7 +29,6 @@ class from the triples of the subtrees it hangs on the root string.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
@@ -351,13 +350,10 @@ def normalize(c: MelonicConstruction) -> MelonicConstruction:
 _class_memo: dict[Node, Triple] = {}
 
 
-def enumerate_constructions(max_edges: int, shard: int = 0, shards: int = 1
+def enumerate_constructions(max_edges: int
                             ) -> Iterator[tuple[Node, ClassPoly]]:
     """The tree of every reduced valid construction with at most max_edges
-    edges, with its class; or, given shards, only the pairs whose root
-    string is every shards-th one in root order, from the shard-th
-    (counting from 0).  Shards 0 to shards - 1 together yield every pair
-    once, each shard in the order of the full enumeration.
+    edges, with its class, root string by root string.
 
     Each construction is emitted exactly once, as its canonical tree, the
     tree `_to_tree` gives: sibling subtrees attached to the same banana
@@ -424,16 +420,15 @@ def enumerate_constructions(max_edges: int, shard: int = 0, shards: int = 1
 
         return rec(0, 0, (), budget, cls)
 
-    roots = (tup for w1 in range(1, max_edges + 1)
-             for tup in _compositions(w1))
     # the class of each value seen so far: far fewer classes than trees
     classes: dict[int, ClassPoly] = {}
-    for tup in itertools.islice(roots, shard, None, shards):
-        for forest, _, value in forests(tup, max_edges - sum(tup), 1):
-            cls = classes.get(value)
-            if cls is None:
-                cls = classes[value] = ClassPoly(from_value(value, k))
-            yield (tup, forest), cls
+    for root_edges in range(1, max_edges + 1):
+        for tup in _compositions(root_edges):
+            for forest, _, value in forests(tup, max_edges - root_edges, 1):
+                cls = classes.get(value)
+                if cls is None:
+                    cls = classes[value] = ClassPoly(from_value(value, k))
+                yield (tup, forest), cls
 
 
 def _compositions(total: int) -> Iterator[tuple[int, ...]]:

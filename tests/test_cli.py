@@ -1,9 +1,9 @@
 import hashlib
 import json
+import multiprocessing.process
 import subprocess
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -398,29 +398,6 @@ def test_search_workers_match_single(capsys):
     assert a == b
 
 
-class FakePool:
-    """An in-process stand-in for ProcessPoolExecutor that records what
-    it was asked for."""
-
-    made: list["FakePool"] = []
-
-    def __init__(self, max_workers):
-        self.max_workers = max_workers
-        self.chunks = 0
-        FakePool.made.append(self)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, chunks):
-        chunks = list(chunks)
-        self.chunks = len(chunks)
-        return map(fn, chunks)
-
-
 def search_json(capsys, *argv) -> dict:
     code, out = run_cli(capsys, "search", *argv)
     assert code == 0
@@ -429,16 +406,16 @@ def search_json(capsys, *argv) -> dict:
     return payload
 
 
-def test_search_caps_chunks_and_processes(capsys, monkeypatch):
-    # --workers 500 must not ask the OS for 500 processes
-    monkeypatch.setattr(FakePool, "made", [])
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    single = search_json(capsys, "--max-edges", "4")
-    assert search_json(capsys, "--max-edges", "4", "--workers", "500") == (
-        single)
-    [pool] = FakePool.made
-    assert pool.chunks == pool.max_workers <= 2
+def test_search_starts_no_process(capsys, monkeypatch):
+    # --workers 500 must not ask the OS for 500 processes: search asks
+    # for none, whatever --workers and the CPU count say
+    def refuse(self):
+        raise AssertionError("search started a process")
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    single = search_json(capsys, "--max-edges", "6")
+    assert search_json(capsys, "--max-edges", "6", "--workers", "4") == single
 
 
 def fail_odd_degrees(coeffs):
@@ -451,14 +428,10 @@ def fail_odd_degrees(coeffs):
 def test_search_reports_counterexamples_for_any_worker_count(capsys,
                                                              monkeypatch):
     monkeypatch.setattr(cli.concavity, "check_lc", fail_odd_degrees)
-    monkeypatch.setattr(FakePool, "made", [])
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
     single = search_json(capsys, "--max-edges", "6")
     for workers in ("3", "4"):
         assert search_json(capsys, "--max-edges", "6",
                            "--workers", workers) == single
-    assert [pool.chunks for pool in FakePool.made] == [3, 4]
     found = [(melonic.from_json_dict(row["construction"]),
               row["failing_degrees"]) for row in single["counterexamples"]]
     odd = sorted((melonic.linearize(t)
@@ -481,9 +454,6 @@ def test_search_output_is_pinned(capsys, monkeypatch):
         return hashlib.sha256(
             json.dumps(payload, indent=2).encode()).hexdigest()
 
-    monkeypatch.setattr(FakePool, "made", [])
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     for workers in ("1", "2"):
         assert digest(workers) == (
             "0b6a4bdb7b6388729e925a009c4fd1304e1f93c855191e8fc7ed3ab98a752a41")
@@ -491,23 +461,21 @@ def test_search_output_is_pinned(capsys, monkeypatch):
     for workers in ("1", "2"):
         assert digest(workers) == (
             "3e06deefbfc6b8cccdbe3946f114b5fe07915d61242f61127f2673a2ec164511")
-    assert [pool.chunks for pool in FakePool.made] == [2, 2]
 
 
-def test_search_on_real_processes_matches_one_worker(capsys, monkeypatch):
-    # a 1-CPU machine would otherwise never start the process pool
-    made = []
+def test_search_checks_each_distinct_class_once(capsys, monkeypatch):
+    calls = []
+    check_lc = cli.concavity.check_lc
 
-    class Pool(ProcessPoolExecutor):
-        def __init__(self, max_workers):
-            made.append(max_workers)
-            super().__init__(max_workers=max_workers)
+    def counted(coeffs):
+        calls.append(coeffs)
+        return check_lc(coeffs)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    single = search_json(capsys, "--max-edges", "6")
-    assert search_json(capsys, "--max-edges", "6", "--workers", "2") == single
-    assert made == [2]
+    monkeypatch.setattr(cli.concavity, "check_lc", counted)
+    payload = search_json(capsys, "--max-edges", "8")
+    assert payload["constructions_checked"] == 3096
+    classes = {cls for _, cls in melonic.enumerate_constructions(8)}
+    assert len(calls) == len(classes) < 3096
 
 
 def test_search_rejects_nonpositive_counts(capsys):

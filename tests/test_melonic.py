@@ -10,10 +10,10 @@ import pytest
 from melonclass import families as fam
 from melonclass import graphalg as ga
 from melonclass import melonic as mel
-from melonclass.poly import ONE, ZERO, mul
+from melonclass.poly import ONE, ZERO, eval_int, mul
 
 from conftest import construction
-from stage_relation import class_by_stages
+from stage_relation import P, class_by_stages, class_by_stages_mod_p
 
 
 def test_validate_good():
@@ -144,10 +144,12 @@ def test_normalize_merges_single_banana_stages():
     assert mel.class_of(n) == mel.class_of(c)
 
 
-def _random_construction(rng: random.Random,
-                         max_edges: int) -> mel.MelonicConstruction:
+def _random_construction(rng: random.Random, max_edges: int,
+                         grow: float = 0.8) -> mel.MelonicConstruction:
     """A valid construction with at most max_edges edges whose stages
-    target random free slots, size-1 bananas included."""
+    target random free slots, size-1 bananas included.  Each further
+    stage is drawn with probability grow; with grow = 1, stages are added
+    until the next one would pass max_edges."""
     def bananas() -> tuple[int, ...]:
         return tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 3)))
 
@@ -157,7 +159,7 @@ def _random_construction(rng: random.Random,
     stages = [mel.Stage(first, 0, 1)]
     used: dict[tuple[int, int], int] = {}
     edges = sum(first)
-    while rng.random() < 0.8:
+    while rng.random() < grow:
         tup = bananas()
         free = [(i, j) for i, st in enumerate(stages, start=1)
                 for j, a in enumerate(st.bananas, start=1)
@@ -296,6 +298,21 @@ def test_class_of_unreduced_input_matches_the_stage_relation(rng):
     assert unreduced >= 60
 
 
+def test_deep_classes_match_the_stage_relation_mod_p(rng):
+    # the stage relation over ints mod P at a random s, past the 8 edges
+    # that the polynomial reference covers: 20 draws of 96-100 edges and
+    # 5 of 157-160; a wrong class passes with probability at most 160 / P
+    # a draw.  The draws are normalized: unreduced ones splice long
+    # strings into their parents, where the relation is exponential
+    for max_edges, draws in ((100, 20), (160, 5)):
+        for _ in range(draws):
+            c = mel.normalize(_random_construction(rng, max_edges, grow=1))
+            assert max_edges - 8 <= c.num_edges() <= max_edges
+            s = rng.randrange(P)
+            assert class_by_stages_mod_p(c, s) == (
+                eval_int(mel.class_of(c).poly, s) % P), mel.serialize(c)
+
+
 def test_class_of_same_on_ints_and_on_polynomials(rng, monkeypatch):
     # up to INT_FOLD_EDGES edges class_of folds on the values at s = 2^k,
     # past it on polynomials; both rings give every class
@@ -417,28 +434,6 @@ def test_enumerated_trees_round_trip_and_share_their_classes():
     assert len(pairs) == 3096
     assert len({id(cls) for _, cls in pairs}) == len(
         {cls for _, cls in pairs})
-
-
-def test_enumerate_shards_partition_the_full_order():
-    # 1 edge has one root string, so there most shards are empty
-    for max_edges in range(1, 8):
-        full = [(mel.linearize(t), cls)
-                for t, cls in mel.enumerate_constructions(max_edges)]
-        position = {c: i for i, (c, _) in enumerate(full)}
-        roots = list(dict.fromkeys(c.stages[0].bananas for c, _ in full))
-        for shards in range(1, 5):
-            seen = []
-            for shard in range(shards):
-                part = [(mel.linearize(t), cls) for t, cls in
-                        mel.enumerate_constructions(max_edges, shard, shards)]
-                at = [position[c] for c, _ in part]
-                assert at == sorted(at)
-                assert [cls for _, cls in part] == [full[i][1] for i in at]
-                assert list(dict.fromkeys(
-                    c.stages[0].bananas for c, _ in part)) == (
-                        roots[shard::shards])
-                seen += at
-            assert sorted(seen) == list(range(len(full)))
 
 
 def test_enumerate_rejects_nonpositive():
