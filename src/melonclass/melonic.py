@@ -345,8 +345,8 @@ def normalize(c: MelonicConstruction) -> MelonicConstruction:
     return linearize(_to_tree(c))
 
 
-# The memo of the latest enumeration: the triple of each subtree and of
-# each slot (a string of one banana), keyed by its tree, at its s = 2^k.
+# The memo of the latest enumeration: the triple of each catalog subtree,
+# keyed by its tree, at its s = 2^k.
 _class_memo: dict[Node, Triple] = {}
 
 
@@ -360,75 +360,108 @@ def enumerate_constructions(max_edges: int
     appear sorted.  `linearize` turns it into the construction, in
     canonical form.  Stages after the first always add at least two
     bananas; a later single-banana stage only widens its parent slot, so
-    those spellings are redundant with a shorter one.  Each class is the
-    series-parallel fold of `class_of`, on ints, built slot by slot as the
-    recursion closes them, from the triples in `_class_memo`.  Equal
-    classes within one call are one `ClassPoly` object, read back from
-    its value once.
+    those spellings are redundant with a shorter one.  A string is a loop
+    over the option lists of its slots: each way to hang catalog subtrees
+    on a slot is built once per budget, with its triple, the
+    series-parallel fold of `class_of` on ints.  A root string's class is
+    the product of its slots' classes.  Equal classes within one call are
+    one `ClassPoly` object, read back from its value once.
     """
     global _class_memo
     if max_edges < 1:
         raise ValueError("max_edges must be at least 1")
     k, leaf, s2 = _int_ring(max_edges)
-    join = functools.partial(series, s2=s2)
     memo = _class_memo = {}
 
-    def triple(node: Node) -> Triple:
-        t = memo.get(node)
-        if t is None:
-            tup, forest = node
-            t = memo[node] = functools.reduce(join, _slots(
-                tup, ([triple(kid) for kid in kids] for kids in forest),
-                leaf, s2))
-        return t
-
     @functools.cache
-    def catalog(budget: int) -> list[tuple[int, Node]]:
-        """Every subtree costing 1..budget edges, as sorted (cost, node)."""
-        return sorted((budget - left, (tup, forest))
-                      for w in range(2, budget + 2)
-                      for tup in _compositions(w) if len(tup) >= 2
-                      for forest, left, _ in forests(tup, budget - (w - 1)))
+    def catalog(budget: int) -> list[tuple[int, Node, Triple]]:
+        """Every subtree costing 1..budget edges, as sorted
+        (cost, node, triple): catalog(budget - 1), then those costing
+        budget."""
+        if budget == 0:
+            return []
+        exact = sorted(
+            (budget, (tup, forest), t)
+            for w in range(2, budget + 2)
+            for tup in _compositions(w) if len(tup) >= 2
+            for forest, left, t in strings(tup, budget - (w - 1), False)
+            if left == 0)
+        memo.update((node, t) for _, node, t in exact)
+        return catalog(budget - 1) + exact
 
-    def forests(tup: tuple[int, ...], budget: int, cls: int | None = None
-                ) -> Iterator[tuple[tuple[tuple[Node, ...], ...], int,
-                                    int | None]]:
-        """Each way to hang sorted catalog subtrees on the slots of tup
-        within budget, with the budget it leaves and, unless cls is None,
-        cls times the class of each slot.  A banana of size a >= 2 takes
-        at most a children, a 1-banana none."""
-        cands = catalog(budget) if max(tup) >= 2 else []
+    # the option lists by (slot size, budget)
+    lists: dict[tuple[int, int],
+                list[tuple[int, tuple[Node, ...], Triple, int]]] = {}
 
-        def rec(j: int, start: int, kids: tuple[Node, ...], left: int,
-                cls: int | None) -> Iterator[
-                    tuple[tuple[tuple[Node, ...], ...], int, int | None]]:
-            if j == len(tup):
-                yield (), left, cls
-                return
-            # close slot j before growing it: callers sample this order
-            closed = tuple(sorted(kids))
-            joined = (None if cls is None else
-                      cls * class_b(triple(((tup[j],), (closed,))), s2))
-            for rest, rest_left, total in rec(j + 1, 0, (), left, joined):
-                yield (closed,) + rest, rest_left, total
-            if tup[j] >= 2 and len(kids) < tup[j]:
+    def options(a: int, budget: int
+                ) -> list[tuple[int, tuple[Node, ...], Triple, int]]:
+        """Each way to hang sorted catalog subtrees on a slot of size a
+        within budget, as (cost, children, slot triple, slot class).  The
+        slot is closed before it grows, and grows in catalog order: the
+        order of the enumeration.  catalog(budget) is the start of every
+        larger catalog, so these are, in order, the options within any
+        larger budget that cost at most budget.  A banana of size a >= 2
+        takes at most a children, a 1-banana none.  The slot is
+        leaf(a - n) in parallel with its n children, whose parallel grows
+        with them."""
+        out = lists.get((a, budget))
+        if out is not None:
+            return out
+        cands = catalog(budget) if a >= 2 else []
+        out = lists[a, budget] = []
+
+        def grow(start: int, kids: tuple[Node, ...], cost: int,
+                 kin: Triple | None) -> None:
+            n = len(kids)
+            t = (leaf(a) if kin is None else kin if n == a
+                 else parallel(leaf(a - n), kin, s2))
+            out.append((cost, tuple(sorted(kids)), t, class_b(t, s2)))
+            if n < a:
                 for i in range(start, len(cands)):
-                    cost, node = cands[i]
-                    if cost > left:
+                    c, node, kid = cands[i]
+                    if cost + c > budget:
                         break
-                    yield from rec(j, i, kids + (node,), left - cost, cls)
+                    grow(i, kids + (node,), cost + c,
+                         kid if kin is None else parallel(kin, kid, s2))
 
-        return rec(0, 0, (), budget, cls)
+        grow(0, (), 0, None)
+        return out
+
+    def strings(tup: tuple[int, ...], budget: int, root: bool
+                ) -> Iterator[tuple[tuple[tuple[Node, ...], ...], int, Any]]:
+        """Each way to hang catalog subtrees on the slots of tup within
+        budget, with the budget it leaves and, for a root string, the
+        product of its slots' classes, else the series of their triples."""
+        last = len(tup) - 1
+
+        def rec(j: int, left: int, forest: tuple[tuple[Node, ...], ...],
+                acc: Any) -> Iterator[
+                    tuple[tuple[tuple[Node, ...], ...], int, Any]]:
+            for cost, kids, t, b in options(tup[j], left):
+                joined = (acc * b if root else
+                          t if acc is None else series(acc, t, s2))
+                if j == last:
+                    yield forest + (kids,), left - cost, joined
+                else:
+                    yield from rec(j + 1, left - cost, forest + (kids,),
+                                   joined)
+
+        return rec(0, budget, (), 1 if root else None)
 
     # the class of each value seen so far: far fewer classes than trees
     classes: dict[int, ClassPoly] = {}
     for root_edges in range(1, max_edges + 1):
         for tup in _compositions(root_edges):
-            for forest, _, value in forests(tup, max_edges - root_edges, 1):
+            for forest, _, value in strings(tup, max_edges - root_edges,
+                                            True):
                 cls = classes.get(value)
                 if cls is None:
                     cls = classes[value] = ClassPoly(from_value(value, k))
                 yield (tup, forest), cls
+        # the later root strings have less than this budget to spend
+        for key in [key for key in lists
+                    if key[1] >= max_edges - root_edges]:
+            del lists[key]
 
 
 def _compositions(total: int) -> Iterator[tuple[int, ...]]:

@@ -10,7 +10,7 @@ import pytest
 from melonclass import families as fam
 from melonclass import graphalg as ga
 from melonclass import melonic as mel
-from melonclass.poly import ONE, ZERO, eval_int, mul
+from melonclass.poly import ONE, ZERO, ClassPoly, eval_int, from_value, mul
 
 from conftest import construction
 from stage_relation import P, class_by_stages, class_by_stages_mod_p
@@ -415,11 +415,48 @@ def test_enumerate_all_valid_reduced_canonical():
 def test_enumerate_order_is_pinned():
     # tests sample the enumeration with islice, so its order is part of
     # its contract, not only its set
-    text = "".join(mel.serialize(mel.linearize(t)) + "\n"
-                   for t, _ in mel.enumerate_constructions(8))
-    assert text.count("\n") == 3096
-    assert hashlib.sha256(text.encode()).hexdigest() == (
-        "45b50f11e6a82faf40fd2dcf241fa4c0b2f5748172c30c71efa8563c9022f35f")
+    for max_edges, count, digest in (
+            (8, 3096, "45b50f11e6a82faf40fd2dcf241fa4c0"
+                      "b2f5748172c30c71efa8563c9022f35f"),
+            (9, 11756, "f052b6dd2e339e28922e23241ce7ca70"
+                       "ab0ebfc1ea721dad9b6df06c7d5bf848")):
+        text = "".join(mel.serialize(mel.linearize(t)) + "\n"
+                       for t, _ in mel.enumerate_constructions(max_edges))
+        assert text.count("\n") == count
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_enumerated_classes_at_eleven_edges():
+    # a sample past the 8 edges the other tests cover, where slots take
+    # their children from option lists cut to a smaller budget
+    checked = 0
+    for t, cls in itertools.islice(mel.enumerate_constructions(11),
+                                   0, None, 1009):
+        assert mel.class_of(mel.linearize(t)) == cls, t
+        checked += 1
+    assert checked == 180
+
+
+def closure_classes(max_edges: int) -> set:
+    """The class of every two-terminal series-parallel network with at
+    most max_edges edges, from single edges by `series` and `parallel`
+    alone, on the int ring of `enumerate_constructions(max_edges)`."""
+    k, leaf, s2 = mel._int_ring(max_edges)
+    layers = [set(), {leaf(1)}]
+    for n in range(2, max_edges + 1):
+        layers.append({join(x, y, s2) for i in range(1, n // 2 + 1)
+                       for x in layers[i] for y in layers[n - i]
+                       for join in (mel.series, mel.parallel)})
+    return {ClassPoly(from_value(mel.class_b(t, s2), k))
+            for layer in layers for t in layer}
+
+
+def test_enumerated_classes_are_the_series_parallel_closure():
+    # an independent route to the set of classes: every melonic graph is
+    # a series-parallel network on the ends of its root edge, and back
+    for max_edges in range(1, 11):
+        assert closure_classes(max_edges) == {
+            cls for _, cls in mel.enumerate_constructions(max_edges)}
 
 
 def test_enumerated_trees_round_trip_and_share_their_classes():
