@@ -21,8 +21,8 @@ the ends of the root edge its terminals.  A network T has a triple
 (f_T, g_T, h_T) of polynomials in S, and its class is
 b_T = g_T + (S+2) f_T; the a-banana has the paper's (f_a, g_a, h_a), and
 a single edge (1, 0, 0).  `series` and `parallel` compose triples
-(Brown-Yeats, CMP 2011), so `class_of` is one fold over the tree of
-`_to_tree`, siblings unsorted, and `enumerate_constructions` builds each
+(Brown-Yeats, CMP 2011), so `class_of` is one fold over the stage list,
+from the last stage back, and `enumerate_constructions` builds each
 class from the triples of the subtrees it hangs on the root string.
 """
 
@@ -31,7 +31,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, NamedTuple
+from typing import Any, Callable, Iterator, NamedTuple
 
 from . import families as fam
 from .graphalg import Multigraph, _is_int
@@ -187,40 +187,25 @@ def parallel(t1: Triple, t2: Triple, s2: Any = fam.S_PLUS_2) -> Triple:
     return f, n - f, d1 * d2 + f
 
 
-def _slots(tup: tuple[int, ...], forest: Iterable[list[Triple]],
-           leaf: Callable[[int], Triple] = banana,
-           s2: Any = fam.S_PLUS_2) -> Iterator[Triple]:
-    """The triple of each slot of a string of bananas, given the triples of
-    its children: a slot of size a with k children is leaf(a - k), the
-    (a - k)-banana, in parallel with them.  The string is their series."""
-    for a, kids in zip(tup, forest):
-        t = leaf(a - len(kids)) if a > len(kids) else None
-        for kid in kids:
-            t = kid if t is None else parallel(t, kid, s2)
-        yield t
-
-
-def _fold(root: Node, leaf: Callable[[int], Triple] = banana,
+def _fold(c: MelonicConstruction, leaf: Callable[[int], Triple] = banana,
           s2: Any = fam.S_PLUS_2) -> Triple:
-    """The triple of a tree, children first, from an explicit stack; a
-    child's triple is dropped once its parent has used it."""
-    join = functools.partial(series, s2=s2)
-    order = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        stack.extend(kid for kids in node[1] for kid in kids)
-    done: list[Triple] = []
-    # in reverse preorder a node's children end on top of `done`, in order
-    for tup, forest in reversed(order):
-        k = sum(map(len, forest))
-        kids = iter(done[len(done) - k:])
-        del done[len(done) - k:]
-        slots = _slots(tup, ([next(kids) for _ in slot] for slot in forest),
-                       leaf, s2)
-        done.append(functools.reduce(join, slots))
-    return done[0]
+    """The triple of c, folded from the last stage back, since a parent
+    always comes first: a slot of size a with k child strings is
+    leaf(a - k), the (a - k)-banana, in parallel with them, and a stage's
+    string, the series of its slots, goes to its parent's slot.  Each
+    stage's lists are dropped once it is folded."""
+    kids: list[list[list[Triple]]] = [[[] for _ in st.bananas]
+                                      for st in c.stages]
+    for st in reversed(c.stages):
+        string = None
+        for a, ts in zip(st.bananas, kids.pop()):
+            slot = leaf(a - len(ts)) if a > len(ts) else None
+            for t in ts:
+                slot = t if slot is None else parallel(slot, t, s2)
+            string = slot if string is None else series(string, slot, s2)
+        if kids:
+            kids[st.parent_stage - 1][st.parent_banana - 1].append(string)
+    return string
 
 
 # A fold can run on the values of its polynomials at s = 2^k: the rules
@@ -255,18 +240,18 @@ def class_of(c: MelonicConstruction) -> ClassPoly:
 
     Accepts any construction, reduced or not, and recurses nowhere.  The
     graph is a two-terminal series-parallel network, so its class is the
-    b of one fold over its tree (`_to_tree`, siblings unsorted): a node is
-    the series of its slots, and a slot of size a with k children is
-    banana(a - k) in parallel with them.  Up to INT_FOLD_EDGES edges the
-    fold runs on the values at s = 2^k, k from the bound 3^E on the
-    coefficients of a class with E edges (`_int_ring`).
+    b of one fold over its stages (`_fold`).  A string on a 1-banana and
+    a later single-banana stage need no rewrite: banana(0) = (0, 0, 1)
+    is the identity of `parallel`, and banana(x) in parallel with
+    banana(a) is banana(x + a).  Up to INT_FOLD_EDGES edges the fold runs
+    on the values at s = 2^k, k from the bound 3^E on the coefficients of
+    a class with E edges (`_int_ring`).
     """
-    tree = _to_tree(c, sort=False)
     edges = c.num_edges()
     if edges > INT_FOLD_EDGES:
-        return ClassPoly(class_b(_fold(tree)))
+        return ClassPoly(class_b(_fold(c)))
     k, leaf, s2 = _int_ring(edges)
-    return ClassPoly(from_value(class_b(_fold(tree, leaf, s2), s2), k))
+    return ClassPoly(from_value(class_b(_fold(c, leaf, s2), s2), k))
 
 
 def serialize(c: MelonicConstruction) -> str:
@@ -283,12 +268,13 @@ def deserialize(text: str) -> MelonicConstruction:
 Node = tuple[tuple[int, ...], tuple[tuple["Node", ...], ...]]
 
 
-def _to_tree(c: MelonicConstruction, sort: bool = True) -> Node:
-    """Tree of c with strings on size-1 bananas spliced into their parents,
-    later single-banana stages merged into their parent slots, and
-    siblings sorted unless sort is False.  Built from the last stage back,
-    since a parent always comes before its children; each node's tuple is
-    built once, by walking the strings spliced into it in order."""
+def _to_tree(c: MelonicConstruction) -> Node:
+    """Canonical tree of c, for `normalize`: strings on size-1 bananas
+    spliced into their parents, later single-banana stages merged into
+    their parent slots, and siblings sorted.  Built from the last stage
+    back, since a parent always comes before its children; each node's
+    tuple is built once, by walking the strings spliced into it in
+    order."""
     stages = c.stages
     sizes = [list(st.bananas) for st in stages]
     kids: list[list[list[Node]]] = [[[] for _ in st.bananas]
@@ -311,8 +297,7 @@ def _to_tree(c: MelonicConstruction, sort: bool = True) -> Node:
                     walk.append((splice[(i, j)], 0))
                 else:
                     tup.append(sizes[i][j])
-                    forest.append(tuple(sorted(kids[i][j]) if sort
-                                        else kids[i][j]))
+                    forest.append(tuple(sorted(kids[i][j])))
         if idx and len(tup) == 1:
             # a single banana of size a widens the parent slot by a - 1
             sizes[p][k] += tup[0] - 1

@@ -330,7 +330,20 @@ def test_class_of_same_on_ints_and_on_polynomials(rng, monkeypatch):
                         *(((2, 2), i, 1) for i in range(1, (top - 2) // 3 + 1)))]
     assert [c.num_edges() for c in cs[-4:]] == [top, top, 191, top]
     assert max(c.num_edges() for c in cs) == top
+    # shapes the fold reads as they are, each next to its normal form: a
+    # chain of strings spliced into 1-bananas, a single-banana stage that
+    # widens its slot and carries children, and a 2-banana replaced by
+    # two strings, which leaves it no leaf
+    raw = [construction(((1, 2), 0, 1),
+                        *(((1, 2), i, 1) for i in range(1, 60))),
+           construction(((3, 2), 0, 1), ((4,), 1, 1), ((2, 1), 2, 1),
+                        ((1, 3), 2, 1), ((2, 2), 1, 1)),
+           construction(((2,), 0, 1), ((1, 2), 1, 1), ((3, 1), 1, 1))]
+    assert [len(c.stages) for c in raw] == [60, 5, 3]
+    assert [mel.is_reduced(c) for c in raw] == [False, False, True]
+    cs += raw + [mel.normalize(c) for c in raw]
     on_ints = [mel.class_of(c) for c in cs]
+    assert on_ints[-6:-3] == on_ints[-3:]
     monkeypatch.setattr(mel, "INT_FOLD_EDGES", 0)
     assert [mel.class_of(c) for c in cs] == on_ints
 

@@ -37,7 +37,9 @@ def test_immutable():
 
 
 def test_copies_and_pickles_are_equal():
-    # a polynomial pickles and copies whole, as a worker process needs
+    # a polynomial is an immutable value whose __setattr__ refuses an
+    # attribute-by-attribute restore, so it pickles and copies whole,
+    # through its constructor
     for p in (IntPoly((2, 1)), ZERO, IntPoly((-3, 0, 7))):
         for other in (pickle.loads(pickle.dumps(p)), copy.copy(p),
                       copy.deepcopy(p)):
