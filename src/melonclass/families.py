@@ -8,9 +8,10 @@ All four families are polynomials in S, generated exactly:
     b_{m,n} = n (s+1)^{m-1} + (s+1) f_m,   b_m = b_{m,m},  b_0 = 0
 
 b_m is the class of the m-banana graph (two vertices joined by m parallel
-edges).  The closed forms for the low-degree coefficients and for the
-necklace / clasped-necklace classes are exposed alongside so that every
-identity can be cross-checked by independent routes.
+edges).  The necklace and clasped-necklace classes are closed forms in
+these families.  The closed forms of f_m and of the low-degree
+coefficients, independent routes to the same polynomials, are kept with
+the tests that check the recursion against them (`tests/closed_forms.py`).
 """
 
 from __future__ import annotations
@@ -50,24 +51,6 @@ def f_poly(m: int) -> IntPoly:
         sign = 1 if k % 2 == 0 else -1
         _f_cache.append(mul(_f_cache[k], S_PLUS_1) + IntPoly((sign,)))
     return _f_cache[m]
-
-
-def f_closed_form(m: int) -> IntPoly:
-    """f_m from the explicit binomial-sum formula.
-
-    f_m(s) = sum_{j>=1} sum_{k=1}^{floor(m/2)} C(m-2k, j-1) s^j, plus a
-    constant term of 1 exactly when m is odd.
-    """
-    _require(m >= 1, "f_closed_form requires m >= 1")
-    coeffs = [1 if m % 2 == 1 else 0] + [0] * max(m - 1, 1)
-    for k in range(1, m // 2 + 1):
-        top = m - 2 * k
-        # row C(top, 0..top) added at degrees 1..top+1
-        c = 1
-        for j in range(top + 1):
-            coeffs[j + 1] += c
-            c = c * (top - j) // (j + 1)
-    return IntPoly(coeffs)
 
 
 def g_mn_poly(m: int, n: int) -> IntPoly:
@@ -115,88 +98,6 @@ def family_poly(family: str, m: int, n: int | None = None) -> IntPoly:
     if family == "b":
         return b_poly(m) if n is None else b_mn_poly(m, n)
     raise ValueError(f"unknown family {family!r}")
-
-
-def coeff_closed_form(family: str, m: int, n: int | None, k: int) -> int:
-    """Closed form for the degree-k coefficient, 0 <= k <= 4.
-
-    Covers f_m (n ignored), g_{m,n}, and b_{m,n}, with separate formulas
-    for odd and even m.  Returns 0 where k exceeds the degree.
-    """
-    _require(family in ("f", "g", "b"),
-             "closed-form coefficients exist only for families f, g, b")
-    _require(m >= 1, "coeff_closed_form requires m >= 1")
-    _require(0 <= k <= 4, "closed-form coefficients cover only degrees 0..4")
-    odd = m % 2 == 1
-
-    if family == "f":
-        if odd:
-            table = (
-                1,
-                (m - 1, 2),
-                ((m - 1) ** 2, 4),
-                ((m - 1) * (m - 3) * (2 * m - 1), 24),
-                ((m - 1) * (m - 3) * (m * m - 4 * m + 1), 48),
-            )
-        else:
-            table = (
-                0,
-                (m, 2),
-                (m * (m - 2), 4),
-                (m * (m - 2) * (2 * m - 5), 24),
-                (m * (m - 2) ** 2 * (m - 4), 48),
-            )
-    else:
-        _require(n is not None and n >= 1,
-                 "families g and b need the second parameter n >= 1")
-        assert n is not None
-        if family == "g":
-            if odd:
-                table = (
-                    n - 1,
-                    ((m - 1) * (2 * n - 1), 2),
-                    ((m - 1) * ((m - 1) * (2 * n - 1) - 2 * n), 4),
-                    ((m - 1) * (m - 3) * (4 * n * (m - 2) - (2 * m - 1)), 24),
-                    ((m - 1) * (m - 3)
-                     * (2 * n * (m - 2) * (m - 4) - (m * m - 4 * m + 1)), 48),
-                )
-            else:
-                table = (
-                    n,
-                    (2 * n * (m - 1) - m, 2),
-                    ((m - 2) * (2 * n * (m - 1) - m), 4),
-                    ((m - 2) * (4 * n * (m - 1) * (m - 3) - m * (2 * m - 5)), 24),
-                    ((m - 2) * (m - 4)
-                     * (2 * n * (m - 1) * (m - 3) - m * (m - 2)), 48),
-                )
-        else:
-            if odd:
-                table = (
-                    n + 1,
-                    ((m - 1) * (2 * n + 1) + 2, 2),
-                    ((m - 1) * (2 * n * (m - 2) + m + 1), 4),
-                    ((m - 1) * (4 * n * (m - 2) * (m - 3) + 2 * m * m - m - 3), 24),
-                    ((m - 1) * (m - 3)
-                     * (2 * n * (m - 2) * (m - 4) + m * m - 1), 48),
-                )
-            else:
-                table = (
-                    n,
-                    (2 * n * (m - 1) + m, 2),
-                    (2 * n * (m - 1) * (m - 2) + m * m, 4),
-                    ((m - 2) * (4 * n * (m - 1) * (m - 3) + m * (2 * m + 1)), 24),
-                    ((m - 2)
-                     * (2 * n * (m - 1) * (m - 3) * (m - 4)
-                        + m * (m * m - 2 * m - 2)), 48),
-                )
-
-    entry = table[k]
-    if isinstance(entry, int):
-        return entry
-    q, r = divmod(*entry)
-    if r:
-        raise AssertionError(f"non-exact division {entry} in closed form")
-    return q
 
 
 def p_mn_poly(m: int, n: int) -> IntPoly:

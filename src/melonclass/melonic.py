@@ -11,10 +11,11 @@ ValueError unless `validate` finds nothing wrong, and converts no value.
 
 A later single-banana stage of size a only widens its parent slot by
 a - 1, and a stage on a size-1 banana describes the same graph as its
-string spliced into the parent tuple.  `normalize` gives the canonical
-form: both rewrites applied, sibling subtrees sorted, stages numbered
-depth-first.  A construction is reduced when `normalize` removes none of
-its stages.
+string spliced into the parent tuple.  A construction is reduced when
+it has neither (`is_reduced`).  The canonical form, both rewrites
+applied, sibling subtrees sorted and stages numbered depth-first, is
+kept with the tests that check the enumeration against it
+(`tests/canonical.py`).
 
 The graph of a construction is a two-terminal series-parallel network,
 the ends of the root edge its terminals.  A network T has a triple
@@ -123,8 +124,12 @@ def validate(c: MelonicConstruction) -> list[str]:
 
 
 def is_reduced(c: MelonicConstruction) -> bool:
-    """True when `normalize` splices and merges none of the stages of c."""
-    return len(normalize(c).stages) == len(c.stages)
+    """True when every stage after the first has at least two bananas
+    and none replaces an edge of a 1-banana."""
+    sizes = [st.bananas for st in c.stages]
+    return all(len(st.bananas) >= 2
+               and sizes[st.parent_stage - 1][st.parent_banana - 1] > 1
+               for st in c.stages[1:])
 
 
 def to_graph(c: MelonicConstruction) -> Multigraph:
@@ -268,51 +273,10 @@ def deserialize(text: str) -> MelonicConstruction:
 Node = tuple[tuple[int, ...], tuple[tuple["Node", ...], ...]]
 
 
-def _to_tree(c: MelonicConstruction) -> Node:
-    """Canonical tree of c, for `normalize`: strings on size-1 bananas
-    spliced into their parents, later single-banana stages merged into
-    their parent slots, and siblings sorted.  Built from the last stage
-    back, since a parent always comes before its children; each node's
-    tuple is built once, by walking the strings spliced into it in
-    order."""
-    stages = c.stages
-    sizes = [list(st.bananas) for st in stages]
-    kids: list[list[list[Node]]] = [[[] for _ in st.bananas]
-                                    for st in stages]
-    # (stage, slot) of a size-1 banana -> the stage spliced in there
-    splice: dict[tuple[int, int], int] = {}
-    for idx in range(len(stages) - 1, -1, -1):
-        p, k = stages[idx].parent_stage - 1, stages[idx].parent_banana - 1
-        if idx and stages[p].bananas[k] == 1:
-            splice[(p, k)] = idx
-            continue
-        tup: list[int] = []
-        forest: list[tuple[Node, ...]] = []
-        walk = [(idx, 0)]
-        while walk:
-            i, j = walk.pop()
-            if j < len(stages[i].bananas):
-                walk.append((i, j + 1))
-                if (i, j) in splice:
-                    walk.append((splice[(i, j)], 0))
-                else:
-                    tup.append(sizes[i][j])
-                    forest.append(tuple(sorted(kids[i][j])))
-        if idx and len(tup) == 1:
-            # a single banana of size a widens the parent slot by a - 1
-            sizes[p][k] += tup[0] - 1
-            kids[p][k].extend(forest[0])
-            continue
-        node = (tuple(tup), tuple(forest))
-        if idx:
-            kids[p][k].append(node)
-    return node
-
-
 def linearize(root: Node) -> MelonicConstruction:
     """The construction of a tree: its stages numbered depth-first,
-    siblings in order.  On a canonical tree (`_to_tree`, or one that
-    `enumerate_constructions` yields) this is the canonical form."""
+    siblings in order.  On a tree that `enumerate_constructions` yields
+    this is the canonical form."""
     stages: list[Stage] = []
     stack: list[tuple[Node, int, int]] = [(root, 0, 1)]
     while stack:
@@ -322,12 +286,6 @@ def linearize(root: Node) -> MelonicConstruction:
                      for j in range(len(forest), 0, -1)
                      for child in reversed(forest[j - 1]))
     return MelonicConstruction(tuple(stages))
-
-
-def normalize(c: MelonicConstruction) -> MelonicConstruction:
-    """The canonical form of c: reduced, sibling subtrees sorted, stages
-    numbered depth-first.  Equivalent constructions share it; idempotent."""
-    return linearize(_to_tree(c))
 
 
 # The memo of the latest enumeration: the triple of each catalog subtree,
@@ -340,8 +298,8 @@ def enumerate_constructions(max_edges: int
     """The tree of every reduced valid construction with at most max_edges
     edges, with its class, root string by root string.
 
-    Each construction is emitted exactly once, as its canonical tree, the
-    tree `_to_tree` gives: sibling subtrees attached to the same banana
+    Each construction is emitted exactly once, as its canonical tree
+    (`tests/canonical.py`): sibling subtrees attached to the same banana
     appear sorted.  `linearize` turns it into the construction, in
     canonical form.  Stages after the first always add at least two
     bananas; a later single-banana stage only widens its parent slot, so

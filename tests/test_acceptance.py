@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+import closed_forms
 import reference_tables
 import property_suites
 from melonclass import cli, concavity, families, graphalg, melonic
@@ -143,23 +144,23 @@ def test_criterion_06_coefficient_closed_forms(criterion):
         for m in range(1, 201):
             f = families.f_poly(m)
             for k in range(5):
-                assert (families.coeff_closed_form("f", m, None, k)
+                assert (closed_forms.coeff_closed_form("f", m, None, k)
                         == coeff(f, k)), ("f", m, k)
         for m in range(1, 201):
             for n in range(1, 51):
                 g = families.g_mn_poly(m, n)
                 b = families.b_mn_poly(m, n)
                 for k in range(5):
-                    assert (families.coeff_closed_form("g", m, n, k)
+                    assert (closed_forms.coeff_closed_form("g", m, n, k)
                             == coeff(g, k)), ("g", m, n, k)
-                    assert (families.coeff_closed_form("b", m, n, k)
+                    assert (closed_forms.coeff_closed_form("b", m, n, k)
                             == coeff(b, k)), ("b", m, n, k)
 
 
 def test_criterion_07_f_closed_form(criterion):
     with criterion(7, 5.0, "binomial-sum closed form of f_m, m = 1..200"):
         for m in range(1, 201):
-            assert families.f_closed_form(m) == families.f_poly(m), m
+            assert closed_forms.f_closed_form(m) == families.f_poly(m), m
 
 
 def test_criterion_08_clasped_necklace_identity(criterion):

@@ -4,6 +4,7 @@ from melonclass import families as fam
 from melonclass.concavity import check_lc
 from melonclass.poly import IntPoly, eval_int, mul
 
+from closed_forms import coeff_closed_form, f_closed_form
 from reference_tables import ULC_TABLES
 
 
@@ -62,7 +63,7 @@ def test_b_matches_banana_recursion():
 
 def test_closed_form_matches_recursion():
     for m in range(1, 80):
-        assert fam.f_closed_form(m) == fam.f_poly(m)
+        assert f_closed_form(m) == fam.f_poly(m)
 
 
 def test_two_parameter_specializations():
@@ -77,22 +78,22 @@ def test_coeff_closed_form_small_sweep():
             for n in (1, 2, 7, 23):
                 if tag == "f":
                     poly = fam.f_poly(m)
-                    got = [fam.coeff_closed_form(tag, m, None, k)
+                    got = [coeff_closed_form(tag, m, None, k)
                            for k in range(5)]
                 else:
                     poly = fam.family_poly(tag, m, n)
-                    got = [fam.coeff_closed_form(tag, m, n, k)
+                    got = [coeff_closed_form(tag, m, n, k)
                            for k in range(5)]
                 assert got == [poly[k] for k in range(5)], (tag, m, n)
 
 
 def test_coeff_closed_form_rejects_h():
     with pytest.raises(ValueError):
-        fam.coeff_closed_form("h", 5, None, 1)
+        coeff_closed_form("h", 5, None, 1)
     with pytest.raises(ValueError):
-        fam.coeff_closed_form("f", 5, None, 5)
+        coeff_closed_form("f", 5, None, 5)
     with pytest.raises(ValueError):
-        fam.coeff_closed_form("g", 5, None, 1)
+        coeff_closed_form("g", 5, None, 1)
 
 
 def test_p_mn_examples():

@@ -12,6 +12,7 @@ from melonclass import graphalg as ga
 from melonclass import melonic as mel
 from melonclass.poly import ONE, ZERO, ClassPoly, eval_int, from_value, mul
 
+from canonical import normalize, to_tree
 from conftest import construction
 from stage_relation import P, class_by_stages, class_by_stages_mod_p
 
@@ -96,10 +97,10 @@ def test_is_reduced():
 
 def test_normalize_splices_into_parent():
     c = construction(((1,), 0, 1), ((2, 3), 1, 1))
-    n = mel.normalize(c)
+    n = normalize(c)
     assert n == construction(((2, 3), 0, 1))
     assert mel.is_reduced(n)
-    assert mel.normalize(n) == n
+    assert normalize(n) == n
 
 
 def test_normalize_repoints_children():
@@ -107,7 +108,7 @@ def test_normalize_repoints_children():
     # of stage 1 and must shift
     c = construction(((2, 1, 2), 0, 1), ((3, 4), 1, 2), ((2, 2), 2, 2),
                      ((5, 5), 1, 3))
-    n = mel.normalize(c)
+    n = normalize(c)
     assert n == construction(((2, 3, 4, 2), 0, 1), ((2, 2), 1, 3),
                              ((5, 5), 1, 4))
     assert mel.validate(n) == []
@@ -121,7 +122,7 @@ def test_normalize_preserves_class_and_size():
         construction(((1,), 0, 1), ((1, 1, 2), 1, 1), ((2, 2), 2, 3)),
     ]
     for c in cases:
-        n = mel.normalize(c)
+        n = normalize(c)
         assert mel.is_reduced(n)
         assert c.num_edges() == n.num_edges()
         assert mel.class_of(c) == mel.class_of(n)
@@ -135,11 +136,11 @@ def test_normalize_merges_single_banana_stages():
     widened = construction(((2,), 0, 1), ((3,), 1, 1))
     banana = construction(((4,), 0, 1))
     assert not mel.is_reduced(widened)
-    assert mel.normalize(widened) == mel.normalize(banana) == banana
+    assert normalize(widened) == normalize(banana) == banana
     assert mel.class_of(widened) == mel.class_of(banana)
     # its children move into the widened slot
     c = construction(((2, 2), 0, 1), ((3,), 1, 1), ((2, 2), 2, 1))
-    n = mel.normalize(c)
+    n = normalize(c)
     assert n == construction(((4, 2), 0, 1), ((2, 2), 1, 1))
     assert mel.class_of(n) == mel.class_of(c)
 
@@ -184,23 +185,35 @@ def test_random_constructions_class_and_normal_form(rng):
         for q in (2, 3):
             assert ga.count_complement_points(g, q) == \
                 cls.eval_at_field_size(q), (c, q)
-        n = mel.normalize(c)
+        n = normalize(c)
         assert mel.is_reduced(n)
         assert mel.validate(n) == []
         assert n.num_edges() == c.num_edges()
-        assert mel.normalize(n) == n
+        assert normalize(n) == n
         assert mel.class_of(n) == cls
     assert unreduced >= 60
+
+
+def test_is_reduced_means_normalize_removes_no_stage(rng):
+    # is_reduced checks the two rewrites of the canonical form directly;
+    # both answers must be common, so that neither side passes alone
+    draws, unreduced = 12000, 0
+    for i in range(draws):
+        c = _random_construction(rng, 30, grow=(0.5, 0.8, 0.95)[i % 3])
+        reduced = mel.is_reduced(c)
+        assert reduced == (len(normalize(c).stages) == len(c.stages)), c
+        unreduced += not reduced
+    assert draws // 4 <= unreduced <= draws * 3 // 4
 
 
 def test_normalize_deep_chain():
     # deeper than the interpreter's recursion limit
     links = [((2, 2), i, 1) for i in range(1, 1500)]
     c = construction(((2,), 0, 1), *links)
-    assert mel.normalize(c) == c
+    assert normalize(c) == c
     # on a lone root edge the first link is spliced into stage 1
     unreduced = construction(((1,), 0, 1), *links)
-    assert mel.normalize(unreduced) == \
+    assert normalize(unreduced) == \
         construction(((2, 2), 0, 1), *links[:-1])
 
 
@@ -211,7 +224,7 @@ def test_normalize_long_splice_chain():
     n = 20000
     c = construction(*(((1, 2), i, 1) for i in range(n)))
     start = time.perf_counter()
-    normal = mel.normalize(c)
+    normal = normalize(c)
     assert time.perf_counter() - start < 3
     assert normal == construction(((1,) + (2,) * n, 0, 1))
 
@@ -274,7 +287,7 @@ def test_class_invariant_under_banana_order():
 
 def test_class_of_unreduced_input():
     c = construction(((1,), 0, 1), ((2, 2), 1, 1))
-    n = mel.normalize(c)
+    n = normalize(c)
     assert mel.class_of(c) == mel.class_of(n)
 
 
@@ -306,7 +319,7 @@ def test_deep_classes_match_the_stage_relation_mod_p(rng):
     # strings into their parents, where the relation is exponential
     for max_edges, draws in ((100, 20), (160, 5)):
         for _ in range(draws):
-            c = mel.normalize(_random_construction(rng, max_edges, grow=1))
+            c = normalize(_random_construction(rng, max_edges, grow=1))
             assert max_edges - 8 <= c.num_edges() <= max_edges
             s = rng.randrange(P)
             assert class_by_stages_mod_p(c, s) == (
@@ -341,7 +354,7 @@ def test_class_of_same_on_ints_and_on_polynomials(rng, monkeypatch):
            construction(((2,), 0, 1), ((1, 2), 1, 1), ((3, 1), 1, 1))]
     assert [len(c.stages) for c in raw] == [60, 5, 3]
     assert [mel.is_reduced(c) for c in raw] == [False, False, True]
-    cs += raw + [mel.normalize(c) for c in raw]
+    cs += raw + [normalize(c) for c in raw]
     on_ints = [mel.class_of(c) for c in cs]
     assert on_ints[-6:-3] == on_ints[-3:]
     monkeypatch.setattr(mel, "INT_FOLD_EDGES", 0)
@@ -419,7 +432,7 @@ def test_enumerate_all_valid_reduced_canonical():
         assert mel.validate(c) == []
         assert mel.is_reduced(c)
         assert c.num_edges() <= 8
-        assert mel.normalize(c) == c
+        assert normalize(c) == c
         key = mel.serialize(c)
         assert key not in seen
         seen.add(key)
@@ -479,7 +492,7 @@ def test_enumerated_trees_round_trip_and_share_their_classes():
     pairs = list(mel.enumerate_constructions(8))
     for t, cls in pairs:
         c = mel.linearize(t)
-        assert mel._to_tree(c) == t, t
+        assert to_tree(c) == t, t
         assert mel.class_of(c) == cls, t
     assert len(pairs) == 3096
     assert len({id(cls) for _, cls in pairs}) == len(
@@ -494,7 +507,7 @@ def test_enumerate_rejects_nonpositive():
 def test_canonical_sorts_siblings():
     a = construction(((3, 3), 0, 1), ((2, 2), 1, 1), ((1, 1), 1, 2))
     b = construction(((3, 3), 0, 1), ((1, 1), 1, 2), ((2, 2), 1, 1))
-    assert mel.normalize(a) == mel.normalize(b)
+    assert normalize(a) == normalize(b)
     assert mel.class_of(a).poly == mel.class_of(b).poly
 
 
