@@ -9,6 +9,7 @@ large to process), 4 point budget exceeded.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -34,6 +35,18 @@ def _coeff_list(p: IntPoly, basis: str) -> list[int]:
     return list(shift_var(p, -BASES[basis]).coeffs)
 
 
+@contextlib.contextmanager
+def _any_digits():
+    """Lift the int-to-str digit limit, which guards parsers, in a block."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@_any_digits()
 def _fmt_coeffs(coeffs: list[int]) -> str:
     return "[" + ", ".join(str(a) for a in coeffs) + "]"
 
@@ -75,6 +88,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@_any_digits()
 def _report(args: argparse.Namespace, payload: dict,
             lines: list[str]) -> tuple[int, str]:
     """A command's exit code, EXIT_MISMATCH if a check in payload failed,

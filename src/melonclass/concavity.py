@@ -105,13 +105,7 @@ def analyze(coeffs: Sequence[int],
         order_result = (ulc_order, ok, tuple(fail))
     unimodal, internal_zeros, all_positive = check_unimodal_and_zeros(coeffs)
     return ConcavityReport(
-        degree=len(coeffs) - 1,
-        lc=lc,
-        lc_failures=tuple(lc_fail),
-        ulc=ulc,
-        ulc_failures=tuple(ulc_fail),
-        ulc_order=order_result,
-        unimodal=unimodal,
-        internal_zeros=internal_zeros,
-        all_positive=all_positive,
-    )
+        degree=len(coeffs) - 1, lc=lc, lc_failures=tuple(lc_fail),
+        ulc=ulc, ulc_failures=tuple(ulc_fail), ulc_order=order_result,
+        unimodal=unimodal, internal_zeros=internal_zeros,
+        all_positive=all_positive)

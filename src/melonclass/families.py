@@ -8,25 +8,22 @@ All four families are polynomials in S, generated exactly:
     b_{m,n} = n (s+1)^{m-1} + (s+1) f_m,   b_m = b_{m,m},  b_0 = 0
 
 b_m is the class of the m-banana graph (two vertices joined by m parallel
-edges).  The necklace and clasped-necklace classes are closed forms in
-these families.  The closed forms of f_m and of the low-degree
-coefficients, independent routes to the same polynomials, are kept with
-the tests that check the recursion against them (`tests/closed_forms.py`).
+edges).  f_m and (s+1)^k are built from their closed forms, with no
+table of earlier ones.  The necklace and clasped-necklace classes are
+closed forms in these families.  Closed forms of the low-degree
+coefficients are kept with the tests (`tests/closed_forms.py`).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 
-from .poly import ClassPoly, IntPoly, ONE, ZERO, mul
+from .poly import ClassPoly, IntPoly, ONE, S_PLUS_1, S_PLUS_2, ZERO, mul
 
-S_PLUS_1 = IntPoly((1, 1))
-S_PLUS_2 = IntPoly((2, 1))
-
-
-_f_cache: list[IntPoly] = [ZERO]
+# the powers of b_m and g_m, which the necklace forms reuse across calls
 _pow_cache: dict[IntPoly, list[IntPoly]] = {}
-# g_m, h_m and b_m; typed, so that 2.0 or True never gets the entry for 2
+# f_m, g_m, h_m and b_m; typed, so 2.0 or True never gets the entry for 2
 _cached = lru_cache(maxsize=None, typed=True)
 
 
@@ -38,25 +35,30 @@ def _pow(p: IntPoly, k: int) -> IntPoly:
     return powers[k]
 
 
+def _binomials(k: int) -> list[int]:
+    """The coefficients of (s+1)^k, by c_(j+1) = c_j (k-j) / (j+1)."""
+    return list(accumulate(range(k), lambda c, j: c * (k - j) // (j + 1),
+                           initial=1))
+
+
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise ValueError(msg)
 
 
+@_cached
 def f_poly(m: int) -> IntPoly:
-    """f_m, grown iteratively and cached; f_0 = 0, degree m-1 for m >= 2."""
+    """f_m = ((s+1)^m - (-1)^m) / (s+2), by synthetic division of the
+    binomial row from the top down; f_0 = 0, degree m-1 for m >= 1."""
     _require(m >= 0, "f_poly requires m >= 0")
-    while len(_f_cache) <= m:
-        k = len(_f_cache) - 1
-        sign = 1 if k % 2 == 0 else -1
-        _f_cache.append(mul(_f_cache[k], S_PLUS_1) + IntPoly((sign,)))
-    return _f_cache[m]
+    top_down = accumulate(_binomials(m)[:0:-1], lambda q, c: c - 2 * q)
+    return IntPoly(reversed(list(top_down)))
 
 
 def g_mn_poly(m: int, n: int) -> IntPoly:
     """g_{m,n} = n (s+1)^{m-1} - f_m."""
     _require(m >= 1 and n >= 1, "g_mn_poly requires m, n >= 1")
-    return n * _pow(S_PLUS_1, m - 1) - f_poly(m)
+    return n * IntPoly(_binomials(m - 1)) - f_poly(m)
 
 
 @_cached
@@ -76,7 +78,7 @@ def h_poly(m: int) -> IntPoly:
 def b_mn_poly(m: int, n: int) -> IntPoly:
     """b_{m,n} = n (s+1)^{m-1} + (s+1) f_m."""
     _require(m >= 1 and n >= 1, "b_mn_poly requires m, n >= 1")
-    return n * _pow(S_PLUS_1, m - 1) + mul(S_PLUS_1, f_poly(m))
+    return n * IntPoly(_binomials(m - 1)) + mul(S_PLUS_1, f_poly(m))
 
 
 @_cached
@@ -89,15 +91,11 @@ def b_poly(m: int) -> IntPoly:
 def family_poly(family: str, m: int, n: int | None = None) -> IntPoly:
     """Dispatch on the family name "f", "g", "h" or "b"; n selects the
     two-parameter form of g and b."""
-    if family == "f":
-        return f_poly(m)
-    if family == "g":
-        return g_poly(m) if n is None else g_mn_poly(m, n)
-    if family == "h":
-        return h_poly(m)
-    if family == "b":
-        return b_poly(m) if n is None else b_mn_poly(m, n)
-    raise ValueError(f"unknown family {family!r}")
+    if family not in ("f", "g", "h", "b"):
+        raise ValueError(f"unknown family {family!r}")
+    if n is not None and family in ("g", "b"):
+        return (g_mn_poly if family == "g" else b_mn_poly)(m, n)
+    return {"f": f_poly, "g": g_poly, "h": h_poly, "b": b_poly}[family](m)
 
 
 def p_mn_poly(m: int, n: int) -> IntPoly:
@@ -105,13 +103,13 @@ def p_mn_poly(m: int, n: int) -> IntPoly:
 
     p_{m,n}(s) = (s+1)^{m-1} + sum_{k=0}^{m-2} (-1)^{m-2-k} (n+k-1) (s+1)^k.
     Satisfies p_{m,n} = (s+1) p_{m-1,n+1} + (n-1)(-1)^{m-2} and
-    p_{2,n} = s + n.  m = 1 gives the empty sum, p_{1,n} = 1.
+    p_{2,n} = s + n, and m = 1 gives the empty sum, p_{1,n} = 1: Horner.
     """
     _require(m >= 1 and n >= 2, "p_mn_poly requires m >= 1, n >= 2")
-    acc = _pow(S_PLUS_1, m - 1)
-    for k in range(m - 1):
+    acc = ONE
+    for k in range(m - 2, -1, -1):
         sign = 1 if (m - 2 - k) % 2 == 0 else -1
-        acc = acc + sign * (n + k - 1) * _pow(S_PLUS_1, k)
+        acc = mul(acc, S_PLUS_1) + IntPoly((sign * (n + k - 1),))
     return acc
 
 

@@ -20,8 +20,8 @@ kept with the tests that check the enumeration against it
 The graph of a construction is a two-terminal series-parallel network,
 the ends of the root edge its terminals.  A network T has a triple
 (f_T, g_T, h_T) of polynomials in S, and its class is
-b_T = g_T + (S+2) f_T; the a-banana has the paper's (f_a, g_a, h_a), and
-a single edge (1, 0, 0).  `series` and `parallel` compose triples
+b_T = g_T + (S+2) f_T; a single edge has (1, 0, 0), and the a-banana is
+a edges in parallel.  `series` and `parallel` compose triples
 (Brown-Yeats, CMP 2011), so `class_of` is one fold over the stage list,
 from the last stage back, and `enumerate_constructions` builds each
 class from the triples of the subtrees it hangs on the root string.
@@ -34,9 +34,8 @@ import json
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, NamedTuple
 
-from . import families as fam
 from .graphalg import Multigraph, _is_int
-from .poly import ClassPoly, from_value, to_value
+from .poly import ONE, S_PLUS_2, ClassPoly, from_value
 
 
 class Stage(NamedTuple):
@@ -161,18 +160,12 @@ def to_graph(c: MelonicConstruction) -> Multigraph:
 Triple = tuple[Any, Any, Any]
 
 
-def banana(a: int) -> Triple:
-    """The triple (f_a, g_a, h_a) of the a-banana; a = 1 is a single
-    edge, (1, 0, 0)."""
-    return fam.f_poly(a), fam.g_poly(a), fam.h_poly(a)
-
-
-def class_b(t: Triple, s2: Any = fam.S_PLUS_2) -> Any:
+def class_b(t: Triple, s2: Any = S_PLUS_2) -> Any:
     """The class b = g + (s+2) f of a network with triple t."""
     return t[1] + s2 * t[0]
 
 
-def series(t1: Triple, t2: Triple, s2: Any = fam.S_PLUS_2) -> Triple:
+def series(t1: Triple, t2: Triple, s2: Any = S_PLUS_2) -> Triple:
     """Two networks joined end to end: f = f1 b2 + g1 f2, g = g1 g2,
     h = h1 b2 + b1 h2."""
     (f1, g1, h1), (f2, g2, h2) = t1, t2
@@ -180,7 +173,7 @@ def series(t1: Triple, t2: Triple, s2: Any = fam.S_PLUS_2) -> Triple:
     return f1 * b2 + g1 * f2, g1 * g2, h1 * b2 + b1 * h2
 
 
-def parallel(t1: Triple, t2: Triple, s2: Any = fam.S_PLUS_2) -> Triple:
+def parallel(t1: Triple, t2: Triple, s2: Any = S_PLUS_2) -> Triple:
     """Two networks on the same terminals.  In the coordinates
     (P, D, N) = (h + (s+1) f, h - f, g + f) the rule is f = f1 P2 + D1 f2,
     D = D1 D2, N = N1 P2 + P1 N2; then g = N - f and h = D + f."""
@@ -192,8 +185,23 @@ def parallel(t1: Triple, t2: Triple, s2: Any = fam.S_PLUS_2) -> Triple:
     return f, n - f, d1 * d2 + f
 
 
-def _fold(c: MelonicConstruction, leaf: Callable[[int], Triple] = banana,
-          s2: Any = fam.S_PLUS_2) -> Triple:
+def _bananas(one: Any, s2: Any) -> Callable[[int], Triple]:
+    """leaf(a), the a-banana's triple in the ring of `one`, whose s + 2 is
+    s2: the edge (1, 0, 0), for a = 0 the identity (0, 0, 1) of
+    `parallel`, else two halves in parallel, log2(a) deep; cached."""
+    zero = one - one
+
+    @functools.cache
+    def leaf(a: int) -> Triple:
+        if a < 2:
+            return (one, zero, zero) if a else (zero, zero, one)
+        return parallel(leaf(a // 2), leaf(a - a // 2), s2)
+
+    return leaf
+
+
+def _fold(c: MelonicConstruction, leaf: Callable[[int], Triple],
+          s2: Any = S_PLUS_2) -> Triple:
     """The triple of c, folded from the last stage back, since a parent
     always comes first: a slot of size a with k child strings is
     leaf(a - k), the (a - k)-banana, in parallel with them, and a stage's
@@ -232,12 +240,8 @@ def _int_ring(edges: int) -> tuple[int, Callable[[int], Triple], int]:
     networks with at most `edges` edges: k = (3^edges).bit_length() + 1,
     about 1.6 bits an edge, holds every coefficient of such a class."""
     k = (3 ** edges).bit_length() + 1
-
-    @functools.cache
-    def leaf(a: int) -> Triple:
-        return tuple(to_value(p, k) for p in banana(a))
-
-    return k, leaf, (1 << k) + 2
+    s2 = (1 << k) + 2
+    return k, _bananas(1, s2), s2
 
 
 def class_of(c: MelonicConstruction) -> ClassPoly:
@@ -245,16 +249,16 @@ def class_of(c: MelonicConstruction) -> ClassPoly:
 
     Accepts any construction, reduced or not, and recurses nowhere.  The
     graph is a two-terminal series-parallel network, so its class is the
-    b of one fold over its stages (`_fold`).  A string on a 1-banana and
-    a later single-banana stage need no rewrite: banana(0) = (0, 0, 1)
-    is the identity of `parallel`, and banana(x) in parallel with
-    banana(a) is banana(x + a).  Up to INT_FOLD_EDGES edges the fold runs
-    on the values at s = 2^k, k from the bound 3^E on the coefficients of
-    a class with E edges (`_int_ring`).
+    b of one fold over its stages (`_fold`) from bananas (`_bananas`).  A
+    string on a 1-banana and a later single-banana stage need no rewrite:
+    x edges in parallel with a edges are x + a edges.  Up to
+    INT_FOLD_EDGES edges the fold runs on the values at s = 2^k, k from
+    the bound 3^E on the coefficients of a class with E edges
+    (`_int_ring`).
     """
     edges = c.num_edges()
     if edges > INT_FOLD_EDGES:
-        return ClassPoly(class_b(_fold(c)))
+        return ClassPoly(class_b(_fold(c, _bananas(ONE, S_PLUS_2))))
     k, leaf, s2 = _int_ring(edges)
     return ClassPoly(from_value(class_b(_fold(c, leaf, s2), s2), k))
 

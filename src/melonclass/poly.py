@@ -87,6 +87,8 @@ class IntPoly:
 
 ZERO = IntPoly()
 ONE = IntPoly((1,))
+S_PLUS_1 = IntPoly((1, 1))
+S_PLUS_2 = IntPoly((2, 1))
 
 
 def add(p: IntPoly, q: IntPoly) -> IntPoly:
@@ -139,18 +141,10 @@ def eval_int(p: IntPoly, x: int) -> int:
     return acc
 
 
-def to_value(p: IntPoly, k: int) -> int:
-    """Exact integer value p(2^k), by Horner's rule with shifts."""
-    acc = 0
-    for c in reversed(p.coeffs):
-        acc = (acc << k) + c
-    return acc
-
-
 def from_value(value: int, k: int) -> IntPoly:
     """The polynomial p with p(2^k) = value whose coefficients all lie in
     [-2^(k-1), 2^(k-1)): the balanced base-2^k digits of value.  The
-    inverse of to_value(p, k) for such p."""
+    inverse of eval_int(p, 2^k) for such p."""
     cs = []
     half, mask = 1 << (k - 1), (1 << k) - 1
     while value:

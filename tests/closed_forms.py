@@ -1,7 +1,7 @@
 """The paper's closed forms of the f family and of the low-degree
-coefficients of f_m, g_{m,n} and b_{m,n}, kept as references for the
-recursion in `melonclass.families`: each is an independent route to the
-same polynomial, and the tests check that the two agree.
+coefficients of f_m, g_{m,n} and b_{m,n}, kept as references for
+`melonclass.families`: each is an independent route to the same
+polynomial, and the tests check that the two agree.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from melonclass import cli, graphalg, melonic
+from melonclass import cli, families, graphalg, melonic
 from melonclass.poly import ClassPoly, IntPoly
 
 from conftest import construction, src_env
@@ -44,6 +44,27 @@ def test_family_usage_errors():
     with pytest.raises(SystemExit) as exc:
         cli.main(["family", "f", "--m", "3", "--basis", "Q"])
     assert exc.value.code == 2
+
+
+def test_reports_print_coefficients_of_any_size(capsys):
+    # b_2300 has coefficients of about 700 digits, past this int-to-str
+    # digit limit: the report lifts it while it formats and restores it
+    b = families.b_poly(2300)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out = run_cli(capsys, "family", "b", "--m", "2300")
+        assert sys.get_int_max_str_digits() == 640
+        tables = run_cli(capsys, "tables", "--m", "2300..2300",
+                         "--format", "json")
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 0
+    assert out == "[" + ", ".join(map(str, b)) + "]\n"
+    assert tables[0] == 0
+    row, = json.loads(tables[1])["families"]["b"]
+    assert row["coefficients"] == list(b)
 
 
 def test_family_n_only_for_g_and_b(capsys):
@@ -696,6 +717,33 @@ def test_console_script_entry():
                           env=src_env(), capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "[2, 3, 1]\n"
+
+
+# Runs the command given in its arguments and prints its exit code and
+# peak RSS in KiB: the RUSAGE_CHILDREN of this wrapper has no other child.
+_PEAK_RSS = """\
+import resource, subprocess, sys
+code = subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL).returncode
+print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+def test_wide_bananas_run_in_bounded_memory(tmp_path):
+    # no table grows as the cube of the size: families builds f_m and
+    # (s+1)^k from closed forms, and class_of builds the banana from the
+    # single edge, two halves at a time
+    path = tmp_path / "banana.json"
+    path.write_text(json.dumps({"stages": [
+        {"bananas": [2000], "parent_stage": 0, "parent_banana": 1}]}))
+    runs = (["family", "b", "--m", "2000"], ["class", str(path)])
+    wrappers = [subprocess.Popen([sys.executable, "-c", _PEAK_RSS,
+                                  sys.executable, "-m", "melonclass", *argv],
+                                 env=src_env(), stdout=subprocess.PIPE,
+                                 text=True)
+                for argv in runs]
+    for argv, wrapper in zip(runs, wrappers):
+        code, peak_kib = map(int, wrapper.communicate()[0].split())
+        assert code == 0 and peak_kib < 150 * 1024, (argv, peak_kib)
 
 
 def test_closed_stdout_keeps_exit_code():

@@ -38,3 +38,16 @@ def test_every_library_name_has_a_caller_outside_the_tests():
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert defined
     assert sorted(d for d in defined if d[1] not in used) == []
+
+
+def test_melonic_imports_nothing_from_families():
+    # the families are an independent route to the banana triples that
+    # class_of builds from the single edge, so melonic must not read them
+    tree = ast.parse((ROOT / "src" / "melonclass" / "melonic.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update(alias.name for alias in node.names)
+    assert imported and not [n for n in imported if "families" in n]

@@ -10,7 +10,8 @@ import pytest
 from melonclass import families as fam
 from melonclass import graphalg as ga
 from melonclass import melonic as mel
-from melonclass.poly import ONE, ZERO, ClassPoly, eval_int, from_value, mul
+from melonclass.poly import (ONE, S_PLUS_2, ZERO, ClassPoly, eval_int,
+                             from_value, mul)
 
 from canonical import normalize, to_tree
 from conftest import construction
@@ -250,9 +251,11 @@ def test_to_graph_edge_count_matches():
 
 
 def test_class_of_single_banana_rows():
-    for m in range(1, 9):
+    # both rings of class_of, ints up to INT_FOLD_EDGES edges and
+    # polynomials past it, against the paper's families
+    for m in [*range(1, 13), 199, 200, 201, 260]:
         got = mel.class_of(construction(((m,), 0, 1)))
-        assert got.poly == fam.b_poly(m)
+        assert got.poly == fam.b_poly(m), m
 
 
 def test_class_of_string_of_bananas():
@@ -390,11 +393,17 @@ def _power(p, k):
 
 
 def test_edges_in_parallel_give_the_banana_triples():
-    # the parallel rule alone, from single edges: a edges are the a-banana
+    # the parallel rule alone, from single edges: a edges are the a-banana,
+    # one edge at a time or two halves at a time (the leaves of class_of)
     t = EDGE
-    for a in range(2, 201):
-        t = mel.parallel(t, EDGE)
-        assert t == (fam.f_poly(a), fam.g_poly(a), fam.h_poly(a)), a
+    leaf = mel._bananas(ONE, S_PLUS_2)
+    for a in range(2, 301):
+        triple = (fam.f_poly(a), fam.g_poly(a), fam.h_poly(a))
+        if a <= 200:
+            t = mel.parallel(t, EDGE)
+            assert t == triple, a
+        assert leaf(a) == triple, a
+    assert leaf(1) == EDGE and leaf(0) == (ZERO, ZERO, ONE)
 
 
 def test_bananas_in_series():

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from melonclass.poly import (ClassPoly, IntPoly, ZERO, add, eval_int,
-                             from_value, mul, shift_var, to_value)
+                             from_value, mul, shift_var)
 
 
 def test_canonical_form_strips_trailing_zeros():
@@ -75,18 +75,16 @@ def test_eval_int_matches_horner():
 
 
 def test_from_value_inverts_eval_at_a_power_of_two():
-    # to_value(p, k) is p(2^k), and from_value inverts it whenever every
-    # coefficient lies in [-2^(k-1), 2^(k-1))
+    # from_value inverts p -> p(2^k) whenever every coefficient lies in
+    # [-2^(k-1), 2^(k-1))
     rng = random.Random(3)
     for k in (1, 2, 5, 31, 64, 477):
         bound = 1 << (k - 1)
         for _ in range(200):
             p = IntPoly(rng.randrange(-bound, bound)
                         for _ in range(rng.randrange(8)))
-            value = to_value(p, k)
-            assert value == eval_int(p, 1 << k)
-            assert from_value(value, k).coeffs == p.coeffs
-    assert to_value(ZERO, 7) == 0
+            assert from_value(eval_int(p, 1 << k), k).coeffs == p.coeffs
+    assert from_value(eval_int(ZERO, 1 << 7), 7) == ZERO
     # the extremes of the balanced digits
     assert from_value(eval_int(IntPoly((-4, 3, -4)), 8), 3) == \
         IntPoly((-4, 3, -4))
