@@ -391,7 +391,9 @@ def main(argv: list[str] | None = None) -> int:
         print("error: input is nested too deeply to process",
               file=sys.stderr)
         return EXIT_INVALID
-    except MemoryError:
+    except (MemoryError, SystemError):
+        # CPython raises SystemError ("error return without exception
+        # set") when an allocation fails inside big-int arithmetic
         print("error: input is too large to process", file=sys.stderr)
         return EXIT_INVALID
 

@@ -9,9 +9,9 @@ All four families are polynomials in S, generated exactly:
 
 b_m is the class of the m-banana graph (two vertices joined by m parallel
 edges).  f_m and (s+1)^k are built from their closed forms, with no
-table of earlier ones.  The necklace and clasped-necklace classes are
-closed forms in these families.  Closed forms of the low-degree
-coefficients are kept with the tests (`tests/closed_forms.py`).
+table of earlier ones.  Both necklaces are strings of bananas with their
+two ends identified, and each has the class (s+1) f + h of its string's
+triple (f, g, h).  The paper's closed forms are kept with the tests.
 """
 
 from __future__ import annotations
@@ -46,13 +46,19 @@ def _require(cond: bool, msg: str) -> None:
         raise ValueError(msg)
 
 
+def _over_s_plus_2(p: IntPoly) -> IntPoly:
+    """The quotient of p by s+2, by synthetic division from the top
+    coefficient down; the remainder is dropped."""
+    top_down = accumulate(p.coeffs[:0:-1], lambda q, c: c - 2 * q)
+    return IntPoly(reversed(list(top_down)))
+
+
 @_cached
 def f_poly(m: int) -> IntPoly:
-    """f_m = ((s+1)^m - (-1)^m) / (s+2), by synthetic division of the
-    binomial row from the top down; f_0 = 0, degree m-1 for m >= 1."""
+    """f_m = ((s+1)^m - (-1)^m) / (s+2), the quotient of (s+1)^m by s+2;
+    f_0 = 0, degree m-1 for m >= 1."""
     _require(m >= 0, "f_poly requires m >= 0")
-    top_down = accumulate(_binomials(m)[:0:-1], lambda q, c: c - 2 * q)
-    return IntPoly(reversed(list(top_down)))
+    return _over_s_plus_2(IntPoly(_binomials(m)))
 
 
 def g_mn_poly(m: int, n: int) -> IntPoly:
@@ -98,44 +104,31 @@ def family_poly(family: str, m: int, n: int | None = None) -> IntPoly:
     return {"f": f_poly, "g": g_poly, "h": h_poly, "b": b_poly}[family](m)
 
 
-def p_mn_poly(m: int, n: int) -> IntPoly:
-    """Cofactor polynomial of the clasped-necklace class.
-
-    p_{m,n}(s) = (s+1)^{m-1} + sum_{k=0}^{m-2} (-1)^{m-2-k} (n+k-1) (s+1)^k.
-    Satisfies p_{m,n} = (s+1) p_{m-1,n+1} + (n-1)(-1)^{m-2} and
-    p_{2,n} = s + n, and m = 1 gives the empty sum, p_{1,n} = 1: Horner.
-    """
-    _require(m >= 1 and n >= 2, "p_mn_poly requires m >= 1, n >= 2")
-    acc = ONE
-    for k in range(m - 2, -1, -1):
-        sign = 1 if (m - 2 - k) % 2 == 0 else -1
-        acc = mul(acc, S_PLUS_1) + IntPoly((sign * (n + k - 1),))
-    return acc
+def _closed(f: IntPoly, h: IntPoly) -> ClassPoly:
+    """A string of networks with its two ends identified: (q-1) f counts
+    the string's points with Psi, Phi != 0 and h those with Psi = 0 and
+    Phi != 0, and closing the string makes its Phi the cycle's Psi, so the
+    cycle has class #{Phi != 0} = (s+1) f + h."""
+    return ClassPoly(mul(S_PLUS_1, f) + h)
 
 
 def clasped_necklace_class(m: int, n: int) -> ClassPoly:
-    """Class of the necklace of n-1 m-bananas closed by a single edge.
-
-    In the T basis this is T(T+1) b_m^{n-2} (T^{m-1} +
-    sum_{k=0}^{m-2} (-1)^{m-2-k} (n+k-1) T^k); here assembled in S as
-    (s+1)(s+2) b_m^{n-2} p_{m,n}.  At n = 2 it collapses to b_{m+1}.
-    """
+    """Class of the necklace of n-1 m-bananas closed by a single edge: it
+    closes the string of an edge (1, 0, 0) and n-1 m-bananas, whose f is
+    b_m^{n-1} and h is (n-1)(s+2) h_m b_m^{n-2} by the series rule
+    (Brown-Yeats, CMP 2011).  At n = 2 it collapses to b_{m+1}."""
     _require(m >= 1 and n >= 2, "clasped_necklace_class requires m >= 1, n >= 2")
-    acc = mul(mul(S_PLUS_1, S_PLUS_2), _pow(b_poly(m), n - 2))
-    return ClassPoly(mul(acc, p_mn_poly(m, n)))
+    b_m = b_poly(m)
+    h = (n - 1) * mul(mul(S_PLUS_2, h_poly(m)), _pow(b_m, n - 2))
+    return _closed(_pow(b_m, n - 1), h)
 
 
 def necklace_class(m: int, n: int) -> ClassPoly:
-    """Class of the necklace of n m-bananas arranged in a cycle.
-
-    One formula for every m, from the series rule for two-terminal
-    networks (Brown-Yeats, CMP 2011), with the sum built by Horner in b_m:
-        N_{m,n} = (s+1) f_m sum_{j<n} b_m^j g_m^{n-1-j} + n h_m b_m^{n-1}.
-    """
+    """Class of the necklace of n m-bananas arranged in a cycle: it closes
+    the string of n m-bananas, whose h is n h_m b_m^{n-1} and whose f,
+    f_m sum_{j<n} b_m^j g_m^{n-1-j} by the series rule, is
+    (b_m^n - g_m^n) / (s+2), since b_m - g_m = (s+2) f_m."""
     _require(m >= 1 and n >= 2, "necklace_class requires m >= 1, n >= 2")
-    b_m, g_m = b_poly(m), g_poly(m)
-    total = ZERO
-    for j in range(n):
-        total = mul(total, b_m) + _pow(g_m, j)
-    return ClassPoly(mul(mul(S_PLUS_1, f_poly(m)), total)
-                     + n * mul(h_poly(m), _pow(b_m, n - 1)))
+    b_m = b_poly(m)
+    f = _over_s_plus_2(_pow(b_m, n) - _pow(g_poly(m), n))
+    return _closed(f, n * mul(h_poly(m), _pow(b_m, n - 1)))

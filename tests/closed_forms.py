@@ -1,12 +1,13 @@
-"""The paper's closed forms of the f family and of the low-degree
-coefficients of f_m, g_{m,n} and b_{m,n}, kept as references for
-`melonclass.families`: each is an independent route to the same
-polynomial, and the tests check that the two agree.
+"""The paper's closed forms of the f family, of the low-degree
+coefficients of f_m, g_{m,n} and b_{m,n}, and of the clasped-necklace
+cofactor p_{m,n}, kept as references for `melonclass.families`: each is
+an independent route to the same polynomial, and the tests check that
+the two agree.
 """
 
 from __future__ import annotations
 
-from melonclass.poly import IntPoly
+from melonclass.poly import ONE, S_PLUS_1, IntPoly, mul
 
 
 def f_closed_form(m: int) -> IntPoly:
@@ -26,6 +27,23 @@ def f_closed_form(m: int) -> IntPoly:
             coeffs[j + 1] += c
             c = c * (top - j) // (j + 1)
     return IntPoly(coeffs)
+
+
+def p_mn_poly(m: int, n: int) -> IntPoly:
+    """The cofactor of the paper's clasped-necklace class
+    (s+1)(s+2) b_m^(n-2) p_{m,n}, built by Horner:
+
+    p_{m,n}(s) = (s+1)^{m-1} + sum_{k=0}^{m-2} (-1)^{m-2-k} (n+k-1) (s+1)^k.
+    Satisfies p_{m,n} = (s+1) p_{m-1,n+1} + (n-1)(-1)^{m-2} and
+    p_{2,n} = s + n, and m = 1 gives the empty sum, p_{1,n} = 1.
+    """
+    if m < 1 or n < 2:
+        raise ValueError("p_mn_poly requires m >= 1, n >= 2")
+    acc = ONE
+    for k in range(m - 2, -1, -1):
+        sign = 1 if (m - 2 - k) % 2 == 0 else -1
+        acc = mul(acc, S_PLUS_1) + IntPoly((sign * (n + k - 1),))
+    return acc
 
 
 def coeff_closed_form(family: str, m: int, n: int | None, k: int) -> int:

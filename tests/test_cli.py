@@ -338,6 +338,21 @@ def test_memory_error_is_invalid_input(tmp_path, capsys, monkeypatch):
     assert captured.err == "error: input is too large to process\n"
 
 
+def test_bigint_system_error_is_invalid_input(tmp_path, capsys,
+                                              monkeypatch):
+    # what CPython raises when an allocation fails inside big-int
+    # arithmetic, in place of MemoryError
+    def out_of_memory(c):
+        raise SystemError("error return without exception set")
+    monkeypatch.setattr(cli.melonic, "class_of", out_of_memory)
+    path = _write_construction(tmp_path, [
+        {"bananas": [3], "parent_stage": 0, "parent_banana": 1}])
+    assert cli.main(["class", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: input is too large to process\n"
+
+
 def test_necklace_command(capsys):
     code, out = run_cli(capsys, "necklace", "clasped", "--m", "2", "--n", "2")
     assert code == 0 and out == "[4, 8, 5, 1]\n"

@@ -4,7 +4,7 @@ from melonclass import families as fam
 from melonclass.concavity import check_lc
 from melonclass.poly import IntPoly, eval_int, mul
 
-from closed_forms import coeff_closed_form, f_closed_form
+from closed_forms import coeff_closed_form, f_closed_form, p_mn_poly
 from reference_tables import ULC_TABLES
 
 
@@ -98,9 +98,9 @@ def test_coeff_closed_form_rejects_h():
 
 
 def test_p_mn_examples():
-    assert _coeffs(fam.p_mn_poly(1, 7)) == [1]
-    assert _coeffs(fam.p_mn_poly(2, 5)) == [5, 1]
-    assert _coeffs(fam.p_mn_poly(3, 5)) == [2, 7, 1]
+    assert _coeffs(p_mn_poly(1, 7)) == [1]
+    assert _coeffs(p_mn_poly(2, 5)) == [5, 1]
+    assert _coeffs(p_mn_poly(3, 5)) == [2, 7, 1]
 
 
 def test_p_mn_recursion():
@@ -109,9 +109,9 @@ def test_p_mn_recursion():
     for m in range(2, 25):
         for n in range(2, 12):
             sign = 1 if m % 2 == 0 else -1
-            rhs = (mul(s_plus_1, fam.p_mn_poly(m - 1, n + 1))
+            rhs = (mul(s_plus_1, p_mn_poly(m - 1, n + 1))
                    + IntPoly((sign * (n - 1),)))
-            assert fam.p_mn_poly(m, n) == rhs, (m, n)
+            assert p_mn_poly(m, n) == rhs, (m, n)
 
 
 def test_clasped_collapses_to_banana_at_n2():
@@ -136,6 +136,21 @@ def test_deep_clasped_necklace_matches_construction():
     assert melonic.class_of(construction).poly == closed
 
 
+def test_plain_polygon_at_m1():
+    # one-edge bananas make the plain necklace an n-gon too
+    for n in range(2, 1101):
+        expected = mul(fam.S_PLUS_1, fam._pow(fam.S_PLUS_2, n - 1))
+        assert fam.necklace_class(1, n).poly == expected, n
+
+
+def test_deep_necklace_matches_construction():
+    from melonclass import cli, melonic
+    closed = fam.necklace_class(1, 1100).poly
+    assert closed.degree == 1100
+    construction = cli._necklace_construction("plain", 1, 1100)
+    assert melonic.class_of(construction).poly == closed
+
+
 def test_necklace_closed_forms_match_recursion():
     # the series-rule formula against the paper's contraction-deletion
     # recursion on the necklace's construction
@@ -156,14 +171,15 @@ def test_necklace_is_log_concave():
 
 
 def test_clasped_short_form():
-    # (s+1)(s+2) p_{m,n} = (s+1) b_m + (n-1)(s+2) h_m
+    # the library's short form b_m^(n-2) ((s+1) b_m + (n-1)(s+2) h_m),
+    # from the closing rule, against the paper's
+    # (s+1)(s+2) b_m^(n-2) p_{m,n}
+    s1s2 = mul(fam.S_PLUS_1, fam.S_PLUS_2)
     for m in range(1, 25):
-        b_m, h_m = fam.b_poly(m), fam.h_poly(m)
+        b_m = fam.b_poly(m)
         for n in range(2, 20):
-            short = mul(fam._pow(b_m, n - 2),
-                        mul(fam.S_PLUS_1, b_m)
-                        + (n - 1) * mul(fam.S_PLUS_2, h_m))
-            assert fam.clasped_necklace_class(m, n).poly == short, (m, n)
+            paper = mul(mul(s1s2, fam._pow(b_m, n - 2)), p_mn_poly(m, n))
+            assert fam.clasped_necklace_class(m, n).poly == paper, (m, n)
 
 
 def test_necklace_base_case():
@@ -191,7 +207,7 @@ def test_preconditions():
     with pytest.raises(ValueError):
         fam.g_mn_poly(0, 3)
     with pytest.raises(ValueError):
-        fam.p_mn_poly(2, 1)
+        p_mn_poly(2, 1)
     with pytest.raises(ValueError):
         fam.necklace_class(0, 3)
     with pytest.raises(ValueError):

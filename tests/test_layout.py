@@ -42,12 +42,16 @@ def test_every_library_name_has_a_caller_outside_the_tests():
 
 def test_melonic_imports_nothing_from_families():
     # the families are an independent route to the banana triples that
-    # class_of builds from the single edge, so melonic must not read them
-    tree = ast.parse((ROOT / "src" / "melonclass" / "melonic.py").read_text())
-    imported = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            imported.add(node.module or "")
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            imported.update(alias.name for alias in node.names)
-    assert imported and not [n for n in imported if "families" in n]
+    # class_of builds from the single edge, so melonic must not read
+    # them; and the necklace closed forms are checked against the fold,
+    # so families must not read melonic either
+    for module, other in (("melonic", "families"), ("families", "melonic")):
+        tree = ast.parse((ROOT / "src" / "melonclass" / f"{module}.py")
+                         .read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported.add(node.module or "")
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                imported.update(alias.name for alias in node.names)
+        assert imported and not [n for n in imported if other in n], module
