@@ -293,7 +293,7 @@ def linearize(root: Node) -> MelonicConstruction:
 
 
 # The memo of the latest enumeration: the triple of each catalog subtree,
-# keyed by its tree, at its s = 2^k.
+# keyed by its tree, at its s = 2^k; filled once the catalog is built.
 _class_memo: dict[Node, Triple] = {}
 
 
@@ -304,58 +304,35 @@ def enumerate_constructions(max_edges: int
 
     Each construction is emitted exactly once, as its canonical tree
     (`tests/canonical.py`): sibling subtrees attached to the same banana
-    appear sorted.  `linearize` turns it into the construction, in
-    canonical form.  Stages after the first always add at least two
-    bananas; a later single-banana stage only widens its parent slot, so
-    those spellings are redundant with a shorter one.  A string is a loop
-    over the option lists of its slots: each way to hang catalog subtrees
-    on a slot is built once per budget, with its triple, the
-    series-parallel fold of `class_of` on ints.  A root string's class is
-    the product of its slots' classes.  Equal classes within one call are
-    one `ClassPoly` object, read back from its value once.
+    appear sorted, and every stage after the first has at least two
+    bananas.  `linearize` turns it into the construction, in canonical
+    form.  The catalog is one list of every subtree a slot can take,
+    sorted by (cost, subtree), built one cost at a time before the first
+    root string.  A string is a loop over the cached option lists of its
+    slots, each with its triple, the series-parallel fold of `class_of`
+    on ints; the cache is cleared after each root size.  A root string's
+    class is the product of its slots' classes.  Equal classes within
+    one call are one `ClassPoly` object, read back from its value once.
     """
     global _class_memo
     if max_edges < 1:
         raise ValueError("max_edges must be at least 1")
     k, leaf, s2 = _int_ring(max_edges)
-    memo = _class_memo = {}
+    catalog: list[tuple[int, Node, Triple]] = []
 
     @functools.cache
-    def catalog(budget: int) -> list[tuple[int, Node, Triple]]:
-        """Every subtree costing 1..budget edges, as sorted
-        (cost, node, triple): catalog(budget - 1), then those costing
-        budget."""
-        if budget == 0:
-            return []
-        exact = sorted(
-            (budget, (tup, forest), t)
-            for w in range(2, budget + 2)
-            for tup in _compositions(w) if len(tup) >= 2
-            for forest, left, t in strings(tup, budget - (w - 1), False)
-            if left == 0)
-        memo.update((node, t) for _, node, t in exact)
-        return catalog(budget - 1) + exact
-
-    # the option lists by (slot size, budget)
-    lists: dict[tuple[int, int],
-                list[tuple[int, tuple[Node, ...], Triple, int]]] = {}
-
     def options(a: int, budget: int
                 ) -> list[tuple[int, tuple[Node, ...], Triple, int]]:
         """Each way to hang sorted catalog subtrees on a slot of size a
         within budget, as (cost, children, slot triple, slot class).  The
         slot is closed before it grows, and grows in catalog order: the
-        order of the enumeration.  catalog(budget) is the start of every
-        larger catalog, so these are, in order, the options within any
-        larger budget that cost at most budget.  A banana of size a >= 2
-        takes at most a children, a 1-banana none.  The slot is
-        leaf(a - n) in parallel with its n children, whose parallel grows
-        with them."""
-        out = lists.get((a, budget))
-        if out is not None:
-            return out
-        cands = catalog(budget) if a >= 2 else []
-        out = lists[a, budget] = []
+        order of the enumeration.  The catalog is sorted by cost and holds
+        every subtree costing up to budget when this runs, so the walk
+        stops at the first dearer one.  A banana of size a >= 2 takes at
+        most a children, a 1-banana none.  The slot is leaf(a - n) in
+        parallel with its n children, whose parallel grows with them."""
+        cands = catalog if a >= 2 else ()
+        out = []
 
         def grow(start: int, kids: tuple[Node, ...], cost: int,
                  kin: Triple | None) -> None:
@@ -395,6 +372,15 @@ def enumerate_constructions(max_edges: int
 
         return rec(0, budget, (), 1 if root else None)
 
+    # a subtree hangs on a slot of 2 edges or more, so costs <= max_edges - 2
+    for cost in range(1, max_edges - 1):
+        catalog += sorted(
+            (cost, (tup, forest), t)
+            for w in range(2, cost + 2)
+            for tup in _compositions(w) if len(tup) >= 2
+            for forest, left, t in strings(tup, cost - (w - 1), False)
+            if left == 0)
+    _class_memo = {node: t for _, node, t in catalog}
     # the class of each value seen so far: far fewer classes than trees
     classes: dict[int, ClassPoly] = {}
     for root_edges in range(1, max_edges + 1):
@@ -405,10 +391,8 @@ def enumerate_constructions(max_edges: int
                 if cls is None:
                     cls = classes[value] = ClassPoly(from_value(value, k))
                 yield (tup, forest), cls
-        # the later root strings have less than this budget to spend
-        for key in [key for key in lists
-                    if key[1] >= max_edges - root_edges]:
-            del lists[key]
+        # the later root strings have less budget: drop the longer lists
+        options.cache_clear()
 
 
 def _compositions(total: int) -> Iterator[tuple[int, ...]]:

@@ -19,8 +19,12 @@ def to_tree(c: MelonicConstruction) -> Node:
     parents, later single-banana stages merged into their parent slots,
     and siblings sorted.  Built from the last stage back, since a parent
     always comes before its children; each node's tuple is built once,
-    by walking the strings spliced into it in order."""
+    by walking the strings spliced into it in order.  Equal subtrees are
+    one object, interned by the ids of their interned children, so
+    sorting equal siblings compares them by identity and no lookup
+    hashes a whole subtree."""
     stages = c.stages
+    interned: dict[tuple, Node] = {}
     sizes = [list(st.bananas) for st in stages]
     kids: list[list[list[Node]]] = [[[] for _ in st.bananas]
                                     for st in stages]
@@ -49,6 +53,8 @@ def to_tree(c: MelonicConstruction) -> Node:
             kids[p][k].extend(forest[0])
             continue
         node = (tuple(tup), tuple(forest))
+        key = (node[0], tuple(tuple(map(id, sibs)) for sibs in forest))
+        node = interned.setdefault(key, node)
         if idx:
             kids[p][k].append(node)
     return node

@@ -761,6 +761,16 @@ def test_wide_bananas_run_in_bounded_memory(tmp_path):
         assert code == 0 and peak_kib < 150 * 1024, (argv, peak_kib)
 
 
+def test_search_releases_its_option_lists():
+    # the option lists of a budget no later root string can spend are
+    # dropped after each root size; keeping them all peaks near 240 MB
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS, sys.executable,
+                           "-m", "melonclass", "search", "--max-edges", "12"],
+                          env=src_env(), capture_output=True, text=True)
+    code, peak_kib = map(int, proc.stdout.split())
+    assert code == 0 and peak_kib < 210 * 1024, peak_kib
+
+
 def test_closed_stdout_keeps_exit_code():
     # `melon tables --m 1..10 | head -1`: a reader that has gone before
     # the report is written leaves the command's exit code and no stderr

@@ -218,6 +218,17 @@ def test_normalize_deep_chain():
         construction(((2, 2), 0, 1), *links[:-1])
 
 
+def test_normalize_equal_deep_siblings():
+    # two equal 400-stage chains on one banana: sorting them compares the
+    # two subtrees, which must not recurse down both chains
+    first = [((2, 2), 1 if i == 0 else i + 1, 1) for i in range(400)]
+    second = [((2, 2), 1 if i == 0 else i + 401, 1) for i in range(400)]
+    c = construction(((2,), 0, 1), *first, *second)
+    normal = normalize(c)
+    assert len(normal.stages) == 801
+    assert normal == c
+
+
 def test_normalize_long_splice_chain():
     # each link sits on the lone edge of the one before, so all of them
     # splice into stage 1; copying the tuple at every level would make
@@ -449,12 +460,15 @@ def test_enumerate_all_valid_reduced_canonical():
 
 def test_enumerate_order_is_pinned():
     # tests sample the enumeration with islice, so its order is part of
-    # its contract, not only its set
+    # its contract, not only its set; at 10 edges the option lists
+    # cleared after each root size are built again for the later ones
     for max_edges, count, digest in (
             (8, 3096, "45b50f11e6a82faf40fd2dcf241fa4c0"
                       "b2f5748172c30c71efa8563c9022f35f"),
             (9, 11756, "f052b6dd2e339e28922e23241ce7ca70"
-                       "ab0ebfc1ea721dad9b6df06c7d5bf848")):
+                       "ab0ebfc1ea721dad9b6df06c7d5bf848"),
+            (10, 45714, "46d8d3d676d6f299dbf6d852fa5e2d7a"
+                        "d7b7af8d23dadec39d020a928bd11ae9")):
         text = "".join(mel.serialize(mel.linearize(t)) + "\n"
                        for t, _ in mel.enumerate_constructions(max_edges))
         assert text.count("\n") == count
@@ -506,6 +520,16 @@ def test_enumerated_trees_round_trip_and_share_their_classes():
     assert len(pairs) == 3096
     assert len({id(cls) for _, cls in pairs}) == len(
         {cls for _, cls in pairs})
+
+
+def test_enumerations_are_independent():
+    # each call keeps its own catalog, option lists and int ring, so two
+    # enumerations advanced in turn yield what each yields alone
+    alone = [list(mel.enumerate_constructions(n)) for n in (8, 9)]
+    turns = itertools.zip_longest(mel.enumerate_constructions(8),
+                                  mel.enumerate_constructions(9))
+    together = [[p for p in seq if p is not None] for seq in zip(*turns)]
+    assert together == alone
 
 
 def test_enumerate_rejects_nonpositive():
