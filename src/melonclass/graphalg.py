@@ -187,18 +187,29 @@ def _count_dp(edges: tuple[tuple[int, int], ...], q: int) -> int:
     (q-1) #{A != 0} + q #{A = 0, B != 0}, summed over the rows of A and B
     as they are made; no table of q^{|E|-1} values is stored.
 
-    A table lists Psi mod q over F_q^n, indexed t_n q^{n-1} + ... + t_1
-    (last edge most significant), so row t_f of its q x q^{n-1} form is
-    the block where the last edge f is t_f.  For a bridge every row is
-    Psi(G/f); otherwise row 0 is Psi(G/f) (0 for a loop) and row t_f is
-    row t_f - 1 plus Psi(G-f), reduced mod q by one conditional
-    subtraction: the dtype holds 2q - 2, and row - q wraps round past row
-    when row < q.  A and B share their last edge, so their rows pair up.
+    Every table lists its values on the chart t_1 in {0, 1} of the first
+    edge only: A and B are homogeneous, so for t != 0 the scaling
+    y -> t y keeps both zero sets and maps the points with y_1 = 1 onto
+    those with y_1 = t.  An entry at t_1 = 1 thus stands for q - 1
+    points, and the count is exact from 2 of every q points.  The table
+    of a minor with n edges has shape (2, q^{n-1}): entry [r, i] is Psi
+    mod q at t_1 = r and t_n q^{n-2} + ... + t_2 = i (last edge most
+    significant).  A one-edge minor is [[1], [1]] for a bridge, Psi = 1,
+    and [[0], [1]] for a loop, Psi = t_1.
+
+    Row t_f of a table with n >= 2 edges is its block of q^{n-2} columns
+    where the last edge f is t_f.  For a bridge every row is Psi(G/f);
+    otherwise row 0 is Psi(G/f) (0 for a loop) and row t_f is row
+    t_f - 1 plus Psi(G-f), reduced mod q by one conditional subtraction:
+    the dtype holds 2q - 2, and row - q wraps round past row when
+    row < q.  A and B share their last edge, so their rows pair up; with
+    2 edges in all, A and B are one-edge minors, each read whole.
 
     Minors recur, so levels[d] maps each distinct minor with |E| - d edges,
     its vertices renumbered by _relabel, to its own two minors.  The
-    tables are built one level at a time from the bottom up to level 2,
-    and a level's tables are dropped once the level above is built.
+    tables are built one level at a time from the one-edge minors up to
+    level 2, and a level's tables are dropped once the level above is
+    built.
     """
     if not edges:
         return 1
@@ -226,19 +237,26 @@ def _count_dp(edges: tuple[tuple[int, int], ...], q: int) -> int:
             np.minimum(row, row - q, out=row)
             yield row
 
-    tables = {(): np.ones(1, dtype=dtype)}
-    for level in reversed(levels[2:]):
-        tables = {es: np.concatenate(list(rows(*pair, tables)))
+    def points(table: np.ndarray) -> int:
+        """The points of F_q^n where a table is nonzero."""
+        return _nonzero(table[0]) + (q - 1) * _nonzero(table[1])
+
+    tables = {((0, 1),): np.array([[1], [1]], dtype),
+              ((0, 0),): np.array([[0], [1]], dtype)}
+    for level in reversed(levels[2:-1]):
+        tables = {es: np.concatenate(list(rows(*pair, tables)), axis=1)
                   for es, pair in level.items()}
-    a_rows, b_rows = (None if m is None else rows(*levels[1][m], tables)
+    a_rows, b_rows = (None if m is None else
+                      [tables[m]] if len(m) == 1 else
+                      rows(*levels[1][m], tables)
                       for m in levels[0][edges])
     if a_rows is None:
-        return q * sum(map(_nonzero, b_rows))
+        return q * sum(map(points, b_rows))
     if b_rows is None:
-        return (q - 1) * sum(map(_nonzero, a_rows))
+        return (q - 1) * sum(map(points, a_rows))
     # #{A = 0, B != 0} = #{B != 0} - #{A != 0, B != 0}
-    return sum((q - 1) * _nonzero(a) + q * (_nonzero(b)
-                                            - _nonzero(np.minimum(a, b)))
+    return sum((q - 1) * points(a) + q * (points(b)
+                                          - points(np.minimum(a, b)))
                for a, b in zip(a_rows, b_rows))
 
 

@@ -19,15 +19,12 @@ def to_tree(c: MelonicConstruction) -> Node:
     parents, later single-banana stages merged into their parent slots,
     and siblings sorted.  Built from the last stage back, since a parent
     always comes before its children; each node's tuple is built once,
-    by walking the strings spliced into it in order.  Equal subtrees are
-    one object, interned by the ids of their interned children, so
-    sorting equal siblings compares them by identity and no lookup
-    hashes a whole subtree."""
+    by walking the strings spliced into it in order.  The siblings are
+    sorted afterwards, by `_sort_siblings`."""
     stages = c.stages
-    interned: dict[tuple, Node] = {}
     sizes = [list(st.bananas) for st in stages]
-    kids: list[list[list[Node]]] = [[[] for _ in st.bananas]
-                                    for st in stages]
+    kids: list[list[list[tuple]]] = [[[] for _ in st.bananas]
+                                     for st in stages]
     # (stage, slot) of a size-1 banana -> the stage spliced in there
     splice: dict[tuple[int, int], int] = {}
     for idx in range(len(stages) - 1, -1, -1):
@@ -36,7 +33,7 @@ def to_tree(c: MelonicConstruction) -> Node:
             splice[(p, k)] = idx
             continue
         tup: list[int] = []
-        forest: list[tuple[Node, ...]] = []
+        forest: list[list[tuple]] = []
         walk = [(idx, 0)]
         while walk:
             i, j = walk.pop()
@@ -46,18 +43,45 @@ def to_tree(c: MelonicConstruction) -> Node:
                     walk.append((splice[(i, j)], 0))
                 else:
                     tup.append(sizes[i][j])
-                    forest.append(tuple(sorted(kids[i][j])))
+                    forest.append(kids[i][j])
         if idx and len(tup) == 1:
             # a single banana of size a widens the parent slot by a - 1
             sizes[p][k] += tup[0] - 1
             kids[p][k].extend(forest[0])
             continue
-        node = (tuple(tup), tuple(forest))
-        key = (node[0], tuple(tuple(map(id, sibs)) for sibs in forest))
-        node = interned.setdefault(key, node)
+        node = (tuple(tup), forest)
         if idx:
             kids[p][k].append(node)
-    return node
+    return _sort_siblings(node)
+
+
+def _sort_siblings(root: tuple) -> Node:
+    """The tree of root, whose forests are unsorted lists, with its
+    siblings sorted.  The nodes are ranked one depth at a time from the
+    deepest up: a node's key is its tuple and the sorted ranks of its
+    children, which orders the nodes of one depth as their trees compare.
+    So a sort compares ranks and never recurses into a subtree, and equal
+    subtrees at one depth are one object."""
+    depths = [[root]]
+    while depths[-1]:
+        depths.append([kid for _, forest in depths[-1]
+                       for sibs in forest for kid in sibs])
+    ranked: dict[int, tuple[int, Node]] = {}
+    for level in reversed(depths[:-1]):
+        nodes: dict[tuple, Node] = {}
+        keys = []
+        for tup, forest in level:
+            # equal ranks are one object, so no sort compares two trees
+            slots = [sorted(ranked[id(kid)] for kid in sibs)
+                     for sibs in forest]
+            key = (tup, tuple(tuple(r for r, _ in sibs) for sibs in slots))
+            nodes.setdefault(key, (tup, tuple(tuple(node for _, node in sibs)
+                                              for sibs in slots)))
+            keys.append(key)
+        rank = {key: r for r, key in enumerate(sorted(nodes))}
+        ranked = {id(raw): (rank[key], nodes[key])
+                  for raw, key in zip(level, keys)}
+    return ranked[id(root)][1]
 
 
 def normalize(c: MelonicConstruction) -> MelonicConstruction:

@@ -183,36 +183,59 @@ def test_count_methods_agree_on_general_multigraphs(rng):
         shapes["loop"] += any(u == v for u, v in g.edges)
         shapes["parallel"] += len(simple) < sum(u != v for u, v in g.edges)
         shapes["k4"] += set(itertools.combinations(range(4), 2)) <= simple
-        for q in (2, 3):
+        # the direct count of 5^8 points takes half a second, so q = 5
+        # stops at 7 edges
+        for q in (2, 3, 5) if len(g.edges) <= 7 else (2, 3):
             assert (ga.count_complement_points(g, q, method="dp")
                     == ga.count_complement_points(g, q, method="direct")), \
                 (g, q)
     assert min(shapes.values()) >= 10, shapes
 
 
+# Graphs of at most 2 edges, where the tables the count reads are the
+# one-edge charts themselves, rows t_1 = 0 and t_1 = 1: one edge, one
+# loop, two loops, a loop and an edge in either order, the 2-banana both
+# ways round and a path
+CORNERS = [Multigraph(2, ((0, 1),)), Multigraph(1, ((0, 0),)),
+           Multigraph(1, ((0, 0), (0, 0))), Multigraph(2, ((0, 0), (0, 1))),
+           Multigraph(2, ((0, 1), (1, 1))), banana(2),
+           Multigraph(2, ((0, 1), (1, 0))), Multigraph(3, ((0, 1), (1, 2)))]
+
+
+def test_count_chart_corners():
+    for g in CORNERS:
+        for q in (2, 3, 5, 7, 131):
+            assert (ga.count_complement_points(g, q, method="dp")
+                    == ga.count_complement_points(g, q, method="direct")), \
+                (g, q)
+
+
 def test_count_methods_agree_at_dtype_boundaries():
     # a table's dtype holds 2q - 2, a row plus A before the row is reduced:
     # uint8 up to q = 127, uint16 from q = 131 and uint32 from q = 32,771.
-    # Three loops stream the rows of the two-loop minor from the one-loop
-    # table, rows of 0..q-1 whose sums pass 255 at q = 131; graphs of at
-    # most 2 edges stream rows of one edge only.  One loop builds no table
-    # and no row, so q = 65,537 checks only the one-edge count
-    small = [Multigraph(2, ((0, 1),)), Multigraph(1, ((0, 0),)),
-             Multigraph(2, ((0, 1), (1, 0))), Multigraph(2, ((0, 0), (0, 1))),
-             Multigraph(1, ((0, 0), (0, 0))), Multigraph(3, ((0, 1), (1, 2)))]
+    # The one-edge tables hold only 0 and 1, so a row sum passes 255 at
+    # q = 131 only once a table holds every value 0..q-1: four loops
+    # stream the rows of the three-loop minor from the two-loop table,
+    # t_1 t_2, and add 0..q-1 to 0..q-1.  Three loops stream rows of
+    # 0..q-1 plus 0 or 1, and graphs of at most 2 edges read the one-edge
+    # tables only.  One loop builds no table and no row, so q = 65,537
+    # checks only the one-edge count
     larger = [Multigraph(3, ((0, 1), (1, 2), (2, 0))),
               Multigraph(2, ((0, 1), (0, 1), (1, 0), (1, 1))),
               Multigraph(3, ((0, 1), (1, 2), (2, 0), (0, 1))),
               Multigraph(4, ((0, 1), (1, 2), (2, 3), (3, 0)))]
     loops = Multigraph(1, ((0, 0),) * 3)
-    for q, graphs in ((13, small + larger), (17, small + larger),
-                      (127, small), (131, small), (257, small)):
+    for q, graphs in ((13, CORNERS + larger), (17, CORNERS + larger),
+                      (127, CORNERS), (131, CORNERS), (257, CORNERS)):
         for g in graphs:
             assert (ga.count_complement_points(g, q, method="dp")
                     == ga.count_complement_points(g, q, method="direct")), \
                 (g, q)
+    four = Multigraph(1, ((0, 0),) * 4)
     for q in (127, 131, 257):
         assert ga.count_complement_points(loops, q) == (q - 1) ** 3, q
+        assert (ga.count_complement_points(four, q, budget=q ** 4)
+                == (q - 1) ** 4), q
     loop = Multigraph(1, ((0, 0),))
     assert (ga.count_complement_points(loop, 65537, method="dp")
             == ga.count_complement_points(loop, 65537, method="direct")
@@ -232,10 +255,10 @@ def test_count_dp_cases():
     # the whole graph and a loop or a bridge.  The rows of A and B come
     # from the next edge f of each minor: f a loop in G-e, a bridge in G-e,
     # a loop in G/e (e parallel to f), a bridge in G/e (so also in G-e, or
-    # e is a bridge); graphs of two edges keep no table but the empty
-    # graph's.  Bananas, cycles and K4 have minors that coincide once
-    # renumbered, so they share tables.  The direct count of 7^7 points
-    # takes a second, so K4 stops at q = 5
+    # e is a bridge); graphs of two edges read the one-edge tables, the
+    # chart t_1 in {0, 1} of one edge, as A and B.  Bananas, cycles and K4
+    # have minors that coincide once renumbered, so they share tables.
+    # The direct count of 7^7 points takes a second, so K4 stops at q = 5
     cases = [(Multigraph(3, ((0, 1), (1, 2), (2, 0), (1, 1))), 7),
              (Multigraph(4, ((0, 1), (1, 2), (2, 0), (2, 3))), 7),
              (Multigraph(3, ((0, 1), (1, 1), (1, 2), (2, 0))), 7),
@@ -290,8 +313,8 @@ def _traced_count(g: Multigraph, q: int) -> tuple[int, int]:
 
 def test_count_dp_frees_its_tables():
     # every table is dropped when the count returns, without waiting for
-    # the garbage collector: at q = 5 the tables and rows of this 11-edge
-    # graph take about 17 MiB at their peak
+    # the garbage collector: at q = 5 the chart tables and rows of this
+    # 11-edge graph take about 6.7 MiB at their peak
     g = Multigraph(4, K4 + ((0, 1), (2, 3), (3, 3), (1, 2), (0, 3)))
     ga.count_complement_points(g, 5)
     residue, peak = _traced_count(g, 5)
@@ -300,13 +323,14 @@ def test_count_dp_frees_its_tables():
 
 
 def test_count_dp_stores_no_top_table():
-    # the rows of Psi(G-e) and Psi(G/e) are counted as they are made: the
-    # largest table kept has q^(|E|-2) values, so a 9-edge count at q = 7
-    # peaks at about 3.2 MiB, below one table of 7^8 one-byte values
+    # the rows of Psi(G-e) and Psi(G/e) are counted as they are made, and
+    # a table of n edges holds 2 q^(n-1) values, the chart t_1 in {0, 1}:
+    # the largest table kept has 2 q^(|E|-3) values, so a 9-edge count at
+    # q = 7 peaks at about 0.9 MiB, below 2 7^7 bytes
     g = Multigraph(4, K4 + ((0, 1), (2, 3), (3, 3)))
     ga.count_complement_points(g, 7)
     _, peak = _traced_count(g, 7)
-    assert peak < 7 ** 8
+    assert peak < 2 * 7 ** 7
 
 
 def test_count_loop_graph():

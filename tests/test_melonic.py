@@ -10,8 +10,8 @@ import pytest
 from melonclass import families as fam
 from melonclass import graphalg as ga
 from melonclass import melonic as mel
-from melonclass.poly import (ONE, S_PLUS_2, ZERO, ClassPoly, eval_int,
-                             from_value, mul)
+from melonclass.poly import (ONE, S_PLUS_1, S_PLUS_2, ZERO, ClassPoly,
+                             IntPoly, eval_int, from_value, mul)
 
 from canonical import normalize, to_tree
 from conftest import construction
@@ -229,6 +229,20 @@ def test_normalize_equal_deep_siblings():
     assert normal == c
 
 
+def test_normalize_unequal_deep_siblings():
+    # two 400-stage chains on one banana that differ only in their last
+    # stage: siblings are sorted by their ranks among the nodes of their
+    # depth, so no comparison walks down both chains
+    def chain(start, last):
+        return [((2, 2) if i < 399 else last, 1 if i == 0 else start + i, 1)
+                for i in range(400)]
+
+    c = construction(((2,), 0, 1), *chain(1, (2, 2)), *chain(401, (2, 3)))
+    swapped = construction(((2,), 0, 1), *chain(1, (2, 3)),
+                           *chain(401, (2, 2)))
+    assert normalize(c) == normalize(swapped) == c
+
+
 def test_normalize_long_splice_chain():
     # each link sits on the lone edge of the one before, so all of them
     # splice into stage 1; copying the tuple at every level would make
@@ -429,6 +443,36 @@ def test_bananas_in_series():
             assert chain[1] == _power(fam.g_poly(a), k), (a, k)
             assert chain[2] == k * mul(fam.h_poly(a),
                                        _power(fam.b_poly(a), k - 1)), (a, k)
+
+
+def _phi(t):
+    """The involution (f, g, h) -> (f, h - f, g + f) of triples."""
+    f, g, h = t
+    return f, h - f, g + f
+
+
+def test_phi_carries_series_onto_parallel(rng):
+    # phi is an involution that swaps the identity (0, 1, 0) of series
+    # with the identity (0, 0, 1) of parallel and conjugates one rule into
+    # the other; the class of phi(t) is the closing rule (s+1) f + h of t.
+    # Checked on polynomials and on the int ring, where s + 2 is 2^k + 2
+    def poly():
+        return IntPoly(rng.randint(-9, 9) for _ in range(rng.randint(0, 6)))
+
+    k, _, s2 = mel._int_ring(9)
+    rings = [(poly, S_PLUS_2, S_PLUS_1, ZERO, ONE),
+             (lambda: rng.randrange(-1 << 2 * k, 1 << 2 * k), s2, s2 - 1,
+              0, 1)]
+    for draw, s2, s1, zero, one in rings:
+        assert _phi((zero, one, zero)) == (zero, zero, one)
+        assert _phi((zero, zero, one)) == (zero, one, zero)
+        for _ in range(500):
+            t1 = draw(), draw(), draw()
+            t2 = draw(), draw(), draw()
+            assert _phi(_phi(t1)) == t1
+            assert mel.parallel(t1, t2, s2) == \
+                _phi(mel.series(_phi(t1), _phi(t2), s2)), (t1, t2)
+            assert mel.class_b(_phi(t1), s2) == s1 * t1[0] + t1[2], t1
 
 
 def test_enumerate_counts():
