@@ -11,17 +11,26 @@ b_m is the class of the m-banana graph (two vertices joined by m parallel
 edges).  f_m and (s+1)^k are built from their closed forms, with no
 table of earlier ones.  Both necklaces are strings of bananas with their
 two ends identified, and each has the class (s+1) f + h of its string's
-triple (f, g, h).  The paper's closed forms are kept with the tests.
+triple (f, g, h).  A necklace with at most `poly.INT_FOLD_EDGES` edges,
+the threshold `melonic.class_of` uses too, is built on the int ring: b_m,
+g_m and h_m at s = 2^k, Python int powers, one exact division by s + 2
+and one read-back of the class.  A larger one is built on polynomials,
+with the powers of b_m and g_m in `_pow_cache`.  The paper's closed forms
+are kept with the tests.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate
+from typing import Any, Callable
 
-from .poly import ClassPoly, IntPoly, ONE, S_PLUS_1, S_PLUS_2, ZERO, mul
+from . import poly
+from .poly import (ClassPoly, IntPoly, ONE, S_PLUS_1, S_PLUS_2, ZERO, eval_int,
+                   from_value, int_ring_bits, mul)
 
-# the powers of b_m and g_m, which the necklace forms reuse across calls
+# the powers of b_m and g_m of the latest necklace past INT_FOLD_EDGES
+# edges: at most two bases, the oldest dropped first
 _pow_cache: dict[IntPoly, list[IntPoly]] = {}
 # f_m, g_m, h_m and b_m; typed, so 2.0 or True never gets the entry for 2
 _cached = lru_cache(maxsize=None, typed=True)
@@ -29,7 +38,11 @@ _cached = lru_cache(maxsize=None, typed=True)
 
 def _pow(p: IntPoly, k: int) -> IntPoly:
     """p^k, from one cached list of powers per base polynomial."""
-    powers = _pow_cache.setdefault(p, [ONE])
+    powers = _pow_cache.get(p)
+    if powers is None:
+        if len(_pow_cache) == 2:
+            del _pow_cache[next(iter(_pow_cache))]
+        powers = _pow_cache[p] = [ONE]
     while len(powers) <= k:
         powers.append(mul(powers[-1], p))
     return powers[k]
@@ -104,12 +117,32 @@ def family_poly(family: str, m: int, n: int | None = None) -> IntPoly:
     return {"f": f_poly, "g": g_poly, "h": h_poly, "b": b_poly}[family](m)
 
 
-def _closed(f: IntPoly, h: IntPoly) -> ClassPoly:
+def _ring(edges: int) -> tuple[Callable, Callable, Callable, Callable]:
+    """The ring a necklace with `edges` edges is built in: the map from
+    polynomials into it, p^(e-1) and p^e, the exact quotient by s+2 and
+    the class read back.  Up to `poly.INT_FOLD_EDGES` edges it is the int
+    ring, the values at s = 2^k (`poly.int_ring_bits`), as in `class_of`;
+    past it the polynomials themselves, with their powers from `_pow`."""
+    if edges > poly.INT_FOLD_EDGES:
+        return (lambda p: p, lambda p, e: (_pow(p, e - 1), _pow(p, e)),
+                _over_s_plus_2, ClassPoly)
+    k = int_ring_bits(edges)
+    s = 1 << k
+
+    def powers(p: int, e: int) -> tuple[int, int]:
+        below = p ** (e - 1)
+        return below, below * p
+
+    return (lambda p: eval_int(p, s), powers, lambda v: v // (s + 2),
+            lambda v: ClassPoly(from_value(v, k)))
+
+
+def _closed(f: Any, h: Any, at: Callable) -> Any:
     """A string of networks with its two ends identified: (q-1) f counts
     the string's points with Psi, Phi != 0 and h those with Psi = 0 and
     Phi != 0, and closing the string makes its Phi the cycle's Psi, so the
-    cycle has class #{Phi != 0} = (s+1) f + h."""
-    return ClassPoly(mul(S_PLUS_1, f) + h)
+    cycle has class #{Phi != 0} = (s+1) f + h, in the ring of `at`."""
+    return at(S_PLUS_1) * f + h
 
 
 def clasped_necklace_class(m: int, n: int) -> ClassPoly:
@@ -118,9 +151,10 @@ def clasped_necklace_class(m: int, n: int) -> ClassPoly:
     b_m^{n-1} and h is (n-1)(s+2) h_m b_m^{n-2} by the series rule
     (Brown-Yeats, CMP 2011).  At n = 2 it collapses to b_{m+1}."""
     _require(m >= 1 and n >= 2, "clasped_necklace_class requires m >= 1, n >= 2")
-    b_m = b_poly(m)
-    h = (n - 1) * mul(mul(S_PLUS_2, h_poly(m)), _pow(b_m, n - 2))
-    return _closed(_pow(b_m, n - 1), h)
+    at, powers, _, read = _ring(m * (n - 1) + 1)
+    b_n2, b_n1 = powers(at(b_poly(m)), n - 1)
+    h = (n - 1) * (at(S_PLUS_2) * at(h_poly(m)) * b_n2)
+    return read(_closed(b_n1, h, at))
 
 
 def necklace_class(m: int, n: int) -> ClassPoly:
@@ -129,6 +163,7 @@ def necklace_class(m: int, n: int) -> ClassPoly:
     f_m sum_{j<n} b_m^j g_m^{n-1-j} by the series rule, is
     (b_m^n - g_m^n) / (s+2), since b_m - g_m = (s+2) f_m."""
     _require(m >= 1 and n >= 2, "necklace_class requires m >= 1, n >= 2")
-    b_m = b_poly(m)
-    f = _over_s_plus_2(_pow(b_m, n) - _pow(g_poly(m), n))
-    return _closed(f, n * mul(h_poly(m), _pow(b_m, n - 1)))
+    at, powers, over_s_plus_2, read = _ring(m * n)
+    b_n1, b_n = powers(at(b_poly(m)), n)
+    f = over_s_plus_2(b_n - powers(at(g_poly(m)), n)[1])
+    return read(_closed(f, n * (at(h_poly(m)) * b_n1), at))

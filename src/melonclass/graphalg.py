@@ -262,20 +262,33 @@ def _count_dp(edges: tuple[tuple[int, int], ...], q: int) -> int:
 
 def _count_direct(g: Multigraph, q: int) -> int:
     """Reference method: evaluate the monomial set at every point of
-    F_q^|E| in fixed disjoint index ranges."""
+    F_q^|E| in fixed disjoint index ranges.  Each range splits its points
+    into |E| digit arrays once, and a monomial is the product of its
+    digits."""
     monos = sorted(sorted(m) for m in kirchhoff_polynomial(g))
     n = len(g.edges)
     total = q ** n
-    strides = [q ** i for i in range(n)]
+    # each monomial has |E| - |V| + 1 factors below q, so their sum stays
+    # below `bound` unreduced: int32 where that fits, else int64, reduced
+    # mod q only where even an int64 could overflow
+    bound = len(monos) * (q - 1) ** (n - g.num_vertices + 1)
+    dtype = np.int32 if bound < 1 << 31 else np.int64
+    reduce = bound >= 1 << 63
     count = 0
     chunk = 1 << 16
     for lo in range(0, total, chunk):
-        idx = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
-        acc = np.zeros(len(idx), dtype=np.int64)
+        rest = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
+        digits = []
+        for _ in range(n):
+            rest, digit = np.divmod(rest, q)
+            digits.append(digit.astype(dtype))
+        acc = np.zeros(len(rest), dtype=dtype)
         for mono in monos:
-            term = np.ones(len(idx), dtype=np.int64)
-            for i in mono:
-                term = term * (idx // strides[i] % q) % q
+            term = digits[mono[0]].copy() if mono else 1
+            for i in mono[1:]:
+                term *= digits[i]
+                if reduce:
+                    term %= q
             acc += term
         count += int(np.count_nonzero(acc % q))
     return count

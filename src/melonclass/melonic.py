@@ -35,7 +35,8 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterator, NamedTuple
 
 from .graphalg import Multigraph, _is_int
-from .poly import ONE, S_PLUS_2, ClassPoly, from_value
+from . import poly
+from .poly import ONE, S_PLUS_2, ClassPoly, from_value, int_ring_bits
 
 
 class Stage(NamedTuple):
@@ -221,25 +222,17 @@ def _fold(c: MelonicConstruction, leaf: Callable[[int], Triple],
     return string
 
 
-# A fold can run on the values of its polynomials at s = 2^k: the rules
-# only add, subtract and multiply, so these are Python ints, exact
-# whatever their size, and `from_value` reads the class back.  Only the
-# class b is read back, never f, g or h.  The class of a graph with E
-# edges has nonnegative integer coefficients in s (the paper's first
-# sentence), and their sum b(1) is its number of points over F_3, where
-# s = 1: the points of F_3^E where Psi is not 0.  So every coefficient
-# lies in [0, 3^E], below 2^(k-1) for k = (3^E).bit_length() + 1, and
-# the balanced base-2^k digits of b(2^k) are its coefficients.  Ints are
-# the faster ring up to about this many edges; past it, k outgrows the
-# coefficients of the small subtrees, and polynomials are faster.
-INT_FOLD_EDGES = 200
+# A fold can run on the int ring of `poly`: the rules only add, subtract
+# and multiply, so the values of its polynomials at s = 2^k are Python
+# ints, exact whatever their size, and `from_value` reads the class back.
+# Only the class b is read back, never f, g or h, whose coefficients the
+# 3^E bound does not cover.
 
 
 def _int_ring(edges: int) -> tuple[int, Callable[[int], Triple], int]:
     """k, the banana triples at s = 2^k and 2^k + 2, for the classes of
-    networks with at most `edges` edges: k = (3^edges).bit_length() + 1,
-    about 1.6 bits an edge, holds every coefficient of such a class."""
-    k = (3 ** edges).bit_length() + 1
+    networks with at most `edges` edges (`poly.int_ring_bits`)."""
+    k = int_ring_bits(edges)
     s2 = (1 << k) + 2
     return k, _bananas(1, s2), s2
 
@@ -252,12 +245,12 @@ def class_of(c: MelonicConstruction) -> ClassPoly:
     b of one fold over its stages (`_fold`) from bananas (`_bananas`).  A
     string on a 1-banana and a later single-banana stage need no rewrite:
     x edges in parallel with a edges are x + a edges.  Up to
-    INT_FOLD_EDGES edges the fold runs on the values at s = 2^k, k from
-    the bound 3^E on the coefficients of a class with E edges
-    (`_int_ring`).
+    `poly.INT_FOLD_EDGES` edges the fold runs on the int ring, at s = 2^k
+    with k from the bound 3^E on the coefficients of a class with E edges
+    (`_int_ring`), past it on polynomials.
     """
     edges = c.num_edges()
-    if edges > INT_FOLD_EDGES:
+    if edges > poly.INT_FOLD_EDGES:
         return ClassPoly(class_b(_fold(c, _bananas(ONE, S_PLUS_2))))
     k, leaf, s2 = _int_ring(edges)
     return ClassPoly(from_value(class_b(_fold(c, leaf, s2), s2), k))

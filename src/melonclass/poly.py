@@ -141,17 +141,48 @@ def eval_int(p: IntPoly, x: int) -> int:
     return acc
 
 
+# The int ring: the values of the class polynomials at s = 2^k.  A class
+# computed there is exact whatever its size, since evaluation is a ring
+# homomorphism, and `from_value` reads it back.  The class of a graph with
+# E edges has nonnegative integer coefficients in s (the paper's first
+# sentence), and their sum b(1) is its number of points over F_3, where
+# s = 1: the points of F_3^E where Psi is not 0.  So every coefficient
+# lies in [0, 3^E], below 2^(k-1) whenever k > (3^E).bit_length().  Ints
+# are the faster ring up to about INT_FOLD_EDGES edges; past it, k
+# outgrows the coefficients of the small parts, and polynomials are
+# faster.  `melonic.class_of` and the necklace forms in `families` both
+# switch rings here.
+INT_FOLD_EDGES = 200
+
+
+def int_ring_bits(edges: int) -> int:
+    """k for the classes of graphs with at most `edges` edges: the least
+    multiple of 8 above (3^edges).bit_length(), about 1.6 bits an edge.
+    Any k above the bound reads a class back exactly, so rounding up to
+    whole bytes changes no class and lets `from_value` read bytes."""
+    return ((3 ** edges).bit_length() // 8 + 1) * 8
+
+
 def from_value(value: int, k: int) -> IntPoly:
     """The polynomial p with p(2^k) = value whose coefficients all lie in
     [-2^(k-1), 2^(k-1)): the balanced base-2^k digits of value.  The
-    inverse of eval_int(p, 2^k) for such p."""
-    cs = []
-    half, mask = 1 << (k - 1), (1 << k) - 1
-    while value:
-        digit = ((value + half) & mask) - half
-        cs.append(digit)
-        value = (value - digit) >> k
-    return IntPoly(cs)
+    inverse of eval_int(p, 2^k) for such p.
+
+    k is a positive multiple of 8, so each digit is k/8 bytes.  Adding
+    2^(k-1) to every digit, as one int whose bytes repeat the pattern
+    00..00 80, makes every digit nonnegative; the sum is written out once
+    by `int.to_bytes` and each digit read from its own slice, in time
+    linear in the size of value."""
+    if k <= 0 or k % 8:
+        raise ValueError(f"k must be a positive multiple of 8, not {k}")
+    width = k // 8
+    # kn >= bit_length + 2 digits hold value, whatever its sign
+    n = (abs(value).bit_length() + 1) // k + 1
+    offset = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
+    raw = (value + offset).to_bytes(n * width, "little")
+    half, digit = 1 << (k - 1), int.from_bytes
+    return IntPoly([digit(raw[i:i + width], "little") - half
+                    for i in range(0, n * width, width)])
 
 
 @dataclass(frozen=True)

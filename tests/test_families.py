@@ -1,6 +1,7 @@
 import pytest
 
 from melonclass import families as fam
+from melonclass import poly
 from melonclass.concavity import check_lc
 from melonclass.poly import IntPoly, eval_int, mul
 
@@ -160,6 +161,32 @@ def test_necklace_closed_forms_match_recursion():
             construction = cli._necklace_construction("plain", m, n)
             assert (fam.necklace_class(m, n).poly
                     == melonic.class_of(construction).poly), (m, n)
+
+
+def test_necklace_classes_same_on_ints_and_on_polynomials(monkeypatch):
+    # up to poly.INT_FOLD_EDGES edges both necklace forms run on the int
+    # ring, past it on polynomials; with the threshold at 0 every one runs
+    # on polynomials.  660 pairs, m, n <= 40 and mn <= 260, across the
+    # threshold: (10, 20) has 200 edges plain, (10, 21) 201 clasped
+    pairs = [(m, n) for m in range(1, 41) for n in range(2, 41)
+             if m * n <= 260]
+    assert len(pairs) == 660
+    assert {(10, 20), (10, 21)} <= set(pairs)
+    forms = (fam.necklace_class, fam.clasped_necklace_class)
+    on_ints = [form(m, n) for m, n in pairs for form in forms]
+    monkeypatch.setattr(poly, "INT_FOLD_EDGES", 0)
+    assert [form(m, n) for m, n in pairs for form in forms] == on_ints
+
+
+def test_pow_cache_keeps_two_bases(monkeypatch):
+    # on polynomials the necklace forms cache the powers of b_m and g_m,
+    # and only those of the latest call
+    monkeypatch.setattr(poly, "INT_FOLD_EDGES", 0)
+    for m in range(1, 31):
+        fam.necklace_class(m, 3)
+        assert set(fam._pow_cache) == {fam.b_poly(m), fam.g_poly(m)}
+    fam.clasped_necklace_class(31, 3)
+    assert len(fam._pow_cache) == 2 and fam.b_poly(31) in fam._pow_cache
 
 
 def test_necklace_is_log_concave():

@@ -10,6 +10,7 @@ import pytest
 from melonclass import families as fam
 from melonclass import graphalg as ga
 from melonclass import melonic as mel
+from melonclass import poly as pl
 from melonclass.poly import (ONE, S_PLUS_1, S_PLUS_2, ZERO, ClassPoly,
                              IntPoly, eval_int, from_value, mul)
 
@@ -276,7 +277,7 @@ def test_to_graph_edge_count_matches():
 
 
 def test_class_of_single_banana_rows():
-    # both rings of class_of, ints up to INT_FOLD_EDGES edges and
+    # both rings of class_of, ints up to poly.INT_FOLD_EDGES edges and
     # polynomials past it, against the paper's families
     for m in [*range(1, 13), 199, 200, 201, 260]:
         got = mel.class_of(construction(((m,), 0, 1)))
@@ -355,7 +356,7 @@ def test_deep_classes_match_the_stage_relation_mod_p(rng):
 
 
 def test_class_of_same_on_ints_and_on_polynomials(rng, monkeypatch):
-    # up to INT_FOLD_EDGES edges class_of folds on the values at s = 2^k,
+    # up to poly.INT_FOLD_EDGES edges class_of folds on the values at s = 2^k,
     # past it on polynomials; both rings give every class
     cs = [_random_construction(rng, 30) for _ in range(100)]
     cs += [construction(((m + 1,), 0, 1), ((m,) * (n - 1), 1, 1))
@@ -363,7 +364,7 @@ def test_class_of_same_on_ints_and_on_polynomials(rng, monkeypatch):
     cs += [construction(((2,), 0, 1), *(((2, 2), i, 1) for i in range(1, 33)))]
     # the hardest inputs near the threshold: the widest banana, long plain
     # and clasped necklaces, and the longest (2, 2) chain within it
-    top = mel.INT_FOLD_EDGES
+    top = pl.INT_FOLD_EDGES
     cs += [construction(((top,), 0, 1)),
            construction(((3,), 0, 1), ((2,) * (top // 2 - 1), 1, 1)),
            construction(((11,), 0, 1), ((1,) + (10,) * 18, 1, 1)),
@@ -385,17 +386,19 @@ def test_class_of_same_on_ints_and_on_polynomials(rng, monkeypatch):
     cs += raw + [normalize(c) for c in raw]
     on_ints = [mel.class_of(c) for c in cs]
     assert on_ints[-6:-3] == on_ints[-3:]
-    monkeypatch.setattr(mel, "INT_FOLD_EDGES", 0)
+    monkeypatch.setattr(pl, "INT_FOLD_EDGES", 0)
     assert [mel.class_of(c) for c in cs] == on_ints
 
 
 def test_classes_fit_the_int_ring():
     # the int fold reads a class back from its value at s = 2^k, which is
     # exact when every coefficient is in [0, 3^E]: nonnegative, summing
-    # to the class at s = 1, the points of F_3^E off the hypersurface
+    # to the class at s = 1, the points of F_3^E off the hypersurface.  k
+    # is the least whole number of bytes above that bound
     def check(cls, edges):
         k = mel._int_ring(edges)[0]
-        assert k == (3 ** edges).bit_length() + 1
+        assert k == pl.int_ring_bits(edges)
+        assert k % 8 == 0 and k - 8 <= (3 ** edges).bit_length() < k
         assert min(cls.poly) >= 0
         assert sum(cls.poly) <= 3 ** edges < 1 << (k - 1)
 

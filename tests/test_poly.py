@@ -76,18 +76,22 @@ def test_eval_int_matches_horner():
 
 def test_from_value_inverts_eval_at_a_power_of_two():
     # from_value inverts p -> p(2^k) whenever every coefficient lies in
-    # [-2^(k-1), 2^(k-1))
+    # [-2^(k-1), 2^(k-1)); k is a whole number of bytes
     rng = random.Random(3)
-    for k in (1, 2, 5, 31, 64, 477):
+    for k in (8, 16, 64, 480):
         bound = 1 << (k - 1)
         for _ in range(200):
             p = IntPoly(rng.randrange(-bound, bound)
                         for _ in range(rng.randrange(8)))
             assert from_value(eval_int(p, 1 << k), k).coeffs == p.coeffs
-    assert from_value(eval_int(ZERO, 1 << 7), 7) == ZERO
+    assert from_value(eval_int(ZERO, 1 << 8), 8) == ZERO
     # the extremes of the balanced digits
-    assert from_value(eval_int(IntPoly((-4, 3, -4)), 8), 3) == \
-        IntPoly((-4, 3, -4))
+    for p in (IntPoly((-128, 127, -128)), IntPoly((127, -128, 127)),
+              IntPoly((-128,)), IntPoly((0, 0, 127))):
+        assert from_value(eval_int(p, 1 << 8), 8) == p
+    for k in (0, 7, 12, 65):
+        with pytest.raises(ValueError):
+            from_value(5, k)
 
 
 def test_shift_var_examples():
