@@ -88,8 +88,8 @@ class Multigraph:
 def from_edge_list(text: str) -> Multigraph:
     """Parse one edge per line, "u v" with 0-based vertices, "u u" a loop.
 
-    Blank lines and lines starting with '#' are skipped.  The vertex set
-    is 0..max index seen.
+    Vertices are ASCII digits.  Blank lines and lines starting with '#'
+    are skipped.  The vertex set is 0..max index seen.
     """
     edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -99,12 +99,16 @@ def from_edge_list(text: str) -> Multigraph:
         parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected 'u v', got {raw!r}")
+        # ASCII digits only: int() also takes "+1", "1_0" and non-ASCII digits
+        if not all(p.isascii() and p.removeprefix("-").isdigit()
+                   for p in parts):
+            raise ValueError(f"line {lineno}: vertices must be integers")
+        if any(p.startswith("-") for p in parts):
+            raise ValueError(f"line {lineno}: vertices must be >= 0")
         try:
             u, v = int(parts[0]), int(parts[1])
-        except ValueError as exc:
+        except ValueError as exc:  # past the int-to-str digit limit
             raise ValueError(f"line {lineno}: vertices must be integers") from exc
-        if u < 0 or v < 0:
-            raise ValueError(f"line {lineno}: vertices must be >= 0")
         edges.append((u, v))
     if not edges:
         raise ValueError("edge list is empty")

@@ -36,7 +36,7 @@ from typing import Any, Callable, Iterator, NamedTuple
 
 from .graphalg import Multigraph, _is_int
 from . import poly
-from .poly import ONE, S_PLUS_2, ClassPoly, from_value, int_ring_bits
+from .poly import ONE, S_PLUS_2, ClassPoly
 
 
 class Stage(NamedTuple):
@@ -156,7 +156,7 @@ def to_graph(c: MelonicConstruction) -> Multigraph:
 
 
 # The entries of a triple are polynomials in s, or their values at one
-# integer s (see `_int_ring`).  The rules only add, subtract and
+# integer s (see `poly.ring`).  The rules only add, subtract and
 # multiply, so they hold in either ring, given that ring's s + 2.
 Triple = tuple[Any, Any, Any]
 
@@ -222,21 +222,6 @@ def _fold(c: MelonicConstruction, leaf: Callable[[int], Triple],
     return string
 
 
-# A fold can run on the int ring of `poly`: the rules only add, subtract
-# and multiply, so the values of its polynomials at s = 2^k are Python
-# ints, exact whatever their size, and `from_value` reads the class back.
-# Only the class b is read back, never f, g or h, whose coefficients the
-# 3^E bound does not cover.
-
-
-def _int_ring(edges: int) -> tuple[int, Callable[[int], Triple], int]:
-    """k, the banana triples at s = 2^k and 2^k + 2, for the classes of
-    networks with at most `edges` edges (`poly.int_ring_bits`)."""
-    k = int_ring_bits(edges)
-    s2 = (1 << k) + 2
-    return k, _bananas(1, s2), s2
-
-
 def class_of(c: MelonicConstruction) -> ClassPoly:
     """Grothendieck class of the construction's graph, a polynomial in S.
 
@@ -244,16 +229,11 @@ def class_of(c: MelonicConstruction) -> ClassPoly:
     graph is a two-terminal series-parallel network, so its class is the
     b of one fold over its stages (`_fold`) from bananas (`_bananas`).  A
     string on a 1-banana and a later single-banana stage need no rewrite:
-    x edges in parallel with a edges are x + a edges.  Up to
-    `poly.INT_FOLD_EDGES` edges the fold runs on the int ring, at s = 2^k
-    with k from the bound 3^E on the coefficients of a class with E edges
-    (`_int_ring`), past it on polynomials.
+    x edges in parallel with a edges are x + a edges.  The fold runs in
+    the ring `poly.ring` picks for the construction's edge count.
     """
-    edges = c.num_edges()
-    if edges > poly.INT_FOLD_EDGES:
-        return ClassPoly(class_b(_fold(c, _bananas(ONE, S_PLUS_2))))
-    k, leaf, s2 = _int_ring(edges)
-    return ClassPoly(from_value(class_b(_fold(c, leaf, s2), s2), k))
+    lift, s2, read = poly.ring(c.num_edges())
+    return read(class_b(_fold(c, _bananas(lift(ONE), s2), s2), s2))
 
 
 def serialize(c: MelonicConstruction) -> str:
@@ -286,7 +266,7 @@ def linearize(root: Node) -> MelonicConstruction:
 
 
 # The memo of the latest enumeration: the triple of each catalog subtree,
-# keyed by its tree, at its s = 2^k; filled once the catalog is built.
+# keyed by its tree, in its ring; filled once the catalog is built.
 _class_memo: dict[Node, Triple] = {}
 
 
@@ -303,14 +283,16 @@ def enumerate_constructions(max_edges: int
     sorted by (cost, subtree), built one cost at a time before the first
     root string.  A string is a loop over the cached option lists of its
     slots, each with its triple, the series-parallel fold of `class_of`
-    on ints; the cache is cleared after each root size.  A root string's
-    class is the product of its slots' classes.  Equal classes within
-    one call are one `ClassPoly` object, read back from its value once.
+    in the ring of `poly.ring`; the cache is cleared after each root
+    size.  A root string's class is the product of its slots' classes.
+    Equal classes within one call are one `ClassPoly` object, read back
+    from its value once.
     """
     global _class_memo
     if max_edges < 1:
         raise ValueError("max_edges must be at least 1")
-    k, leaf, s2 = _int_ring(max_edges)
+    lift, s2, read = poly.ring(max_edges)
+    leaf = _bananas(lift(ONE), s2)
     catalog: list[tuple[int, Node, Triple]] = []
 
     @functools.cache
@@ -375,14 +357,14 @@ def enumerate_constructions(max_edges: int
             if left == 0)
     _class_memo = {node: t for _, node, t in catalog}
     # the class of each value seen so far: far fewer classes than trees
-    classes: dict[int, ClassPoly] = {}
+    classes: dict[Any, ClassPoly] = {}
     for root_edges in range(1, max_edges + 1):
         for tup in _compositions(root_edges):
             for forest, _, value in strings(tup, max_edges - root_edges,
                                             True):
                 cls = classes.get(value)
                 if cls is None:
-                    cls = classes[value] = ClassPoly(from_value(value, k))
+                    cls = classes[value] = read(value)
                 yield (tup, forest), cls
         # the later root strings have less budget: drop the longer lists
         options.cache_clear()

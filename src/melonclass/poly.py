@@ -8,7 +8,7 @@ arbitrary-precision integer arithmetic; no floats anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 
 class IntPoly:
@@ -141,25 +141,14 @@ def eval_int(p: IntPoly, x: int) -> int:
     return acc
 
 
-# The int ring: the values of the class polynomials at s = 2^k.  A class
-# computed there is exact whatever its size, since evaluation is a ring
-# homomorphism, and `from_value` reads it back.  The class of a graph with
-# E edges has nonnegative integer coefficients in s (the paper's first
-# sentence), and their sum b(1) is its number of points over F_3, where
-# s = 1: the points of F_3^E where Psi is not 0.  So every coefficient
-# lies in [0, 3^E], below 2^(k-1) whenever k > (3^E).bit_length().  Ints
-# are the faster ring up to about INT_FOLD_EDGES edges; past it, k
-# outgrows the coefficients of the small parts, and polynomials are
-# faster.  `melonic.class_of` and the necklace forms in `families` both
-# switch rings here.
+# the most edges a class is computed on the int ring for; see `ring`
 INT_FOLD_EDGES = 200
 
 
 def int_ring_bits(edges: int) -> int:
-    """k for the classes of graphs with at most `edges` edges: the least
-    multiple of 8 above (3^edges).bit_length(), about 1.6 bits an edge.
-    Any k above the bound reads a class back exactly, so rounding up to
-    whole bytes changes no class and lets `from_value` read bytes."""
+    """k for the classes of graphs with at most `edges` edges (see
+    `ring`): the least multiple of 8 above (3^edges).bit_length(), about
+    1.6 bits an edge, so that `from_value` reads whole bytes."""
     return ((3 ** edges).bit_length() // 8 + 1) * 8
 
 
@@ -194,3 +183,27 @@ class ClassPoly:
     def eval_at_field_size(self, q: int) -> int:
         """Value of the class when the affine-line class L is set to q."""
         return eval_int(self.poly, q - 2)
+
+
+def ring(edges: int) -> tuple[Callable[[IntPoly], Any], Any,
+                              Callable[[Any], ClassPoly]]:
+    """(lift, s2, read) for the classes of graphs with at most `edges`
+    edges: the map of polynomials into the ring they are computed in,
+    its s + 2, and the class read back from its value.
+
+    The class routes only add, subtract and multiply, so they run on
+    polynomials or on their values at s = 2^k, Python ints, exact since
+    evaluation is a ring homomorphism.  A class with E edges has
+    nonnegative coefficients in s (the paper's first sentence) summing to
+    b(1), its points of F_3^E where Psi is not 0: at most 3^E, below
+    2^(k-1) for k = `int_ring_bits(E)`, so `from_value` reads the class
+    back exactly.  f, g and h have no such bound and are never read back.
+    Ints are the faster ring up to INT_FOLD_EDGES edges; past it, k
+    outgrows the coefficients of the small parts, and polynomials win.
+    """
+    if edges > INT_FOLD_EDGES:
+        return (lambda p: p), S_PLUS_2, ClassPoly
+    k = int_ring_bits(edges)
+    s = 1 << k
+    return ((lambda p: eval_int(p, s)), s + 2,
+            (lambda v: ClassPoly(from_value(v, k))))

@@ -554,6 +554,18 @@ def test_oracle_errors(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+def test_oracle_rejects_digits_of_another_script(tmp_path, capsys):
+    # a triangle written with the Arabic-Indic digit 2 is not read as the
+    # ASCII triangle, nor is 1_0 read as 10
+    path = tmp_path / "g.txt"
+    for text in ("0 1\n1 \u0662\n\u0662 0\n", "0 1\n1 1_0\n1_0 0\n"):
+        path.write_text(text, encoding="utf-8")
+        assert cli.main(["oracle", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 2: vertices must be integers\n"
+
+
 def test_modulus_above_budget_exits_before_primality(tmp_path, capsys):
     # trial division would take about 10**9 steps on this prime; above
     # the point budget it is never tested

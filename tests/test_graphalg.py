@@ -385,6 +385,26 @@ def test_edge_list_comments_and_errors():
         ga.from_edge_list("")
 
 
+def test_edge_list_reads_ascii_digits_only():
+    # int() would read each of these first tokens as a number; the
+    # parser reads none of them, and a leading minus is a negative vertex
+    for token in ("1_0", "+1", "\u0662", "\uff12", "\u0661\u0660",
+                  "-\u0662"):
+        int(token)
+        with pytest.raises(ValueError,
+                           match="^line 2: vertices must be integers$"):
+            ga.from_edge_list(f"0 1\n{token} 0\n")
+    for token in ("-1", "-0", "-12"):
+        with pytest.raises(ValueError, match="^line 1: vertices must be >= 0$"):
+            ga.from_edge_list(f"0 {token}\n")
+    # the triangle with an Arabic-Indic 2 is not the ASCII triangle
+    with pytest.raises(ValueError, match="integers"):
+        ga.from_edge_list("0 1\n1 \u0662\n\u0662 0\n")
+    assert ga.from_edge_list("0 1\n1 2\n2 0\n").edges == (
+        (0, 1), (1, 2), (2, 0))
+    assert ga.from_edge_list("00 01\n").edges == ((0, 1),)
+
+
 def test_graphalg_imports_no_melonclass_module():
     # the oracle checks the package's classes, so it shares none of its code
     with open(ga.__file__, encoding="utf-8") as fh:

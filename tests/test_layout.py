@@ -55,3 +55,15 @@ def test_melonic_imports_nothing_from_families():
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 imported.update(alias.name for alias in node.names)
         assert imported and not [n for n in imported if other in n], module
+
+
+def test_only_poly_decides_the_ring():
+    # poly.ring picks the ring of every class route, its k and its
+    # read-back; no other module names the threshold, the k rule or the
+    # read-back
+    ring_names = {"INT_FOLD_EDGES", "int_ring_bits", "from_value"}
+    modules = sorted((ROOT / "src" / "melonclass").glob("*.py"))
+    named = {path.name: _names_used(ast.parse(path.read_text())) & ring_names
+             for path in modules}
+    assert named.pop("poly.py") == ring_names
+    assert {name: used for name, used in named.items() if used} == {}

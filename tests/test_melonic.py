@@ -11,8 +11,8 @@ from melonclass import families as fam
 from melonclass import graphalg as ga
 from melonclass import melonic as mel
 from melonclass import poly as pl
-from melonclass.poly import (ONE, S_PLUS_1, S_PLUS_2, ZERO, ClassPoly,
-                             IntPoly, eval_int, from_value, mul)
+from melonclass.poly import (ONE, S_PLUS_1, S_PLUS_2, ZERO, IntPoly,
+                             eval_int, mul)
 
 from canonical import normalize, to_tree
 from conftest import construction
@@ -394,10 +394,11 @@ def test_classes_fit_the_int_ring():
     # the int fold reads a class back from its value at s = 2^k, which is
     # exact when every coefficient is in [0, 3^E]: nonnegative, summing
     # to the class at s = 1, the points of F_3^E off the hypersurface.  k
-    # is the least whole number of bytes above that bound
+    # is the least whole number of bytes above that bound, and poly.ring
+    # gives the ring of that k
     def check(cls, edges):
-        k = mel._int_ring(edges)[0]
-        assert k == pl.int_ring_bits(edges)
+        k = pl.int_ring_bits(edges)
+        assert pl.ring(edges)[1] == (1 << k) + 2
         assert k % 8 == 0 and k - 8 <= (3 ** edges).bit_length() < k
         assert min(cls.poly) >= 0
         assert sum(cls.poly) <= 3 ** edges < 1 << (k - 1)
@@ -462,7 +463,7 @@ def test_phi_carries_series_onto_parallel(rng):
     def poly():
         return IntPoly(rng.randint(-9, 9) for _ in range(rng.randint(0, 6)))
 
-    k, _, s2 = mel._int_ring(9)
+    k, s2 = pl.int_ring_bits(9), pl.ring(9)[1]
     rings = [(poly, S_PLUS_2, S_PLUS_1, ZERO, ONE),
              (lambda: rng.randrange(-1 << 2 * k, 1 << 2 * k), s2, s2 - 1,
               0, 1)]
@@ -536,14 +537,14 @@ def test_enumerated_classes_at_eleven_edges():
 def closure_classes(max_edges: int) -> set:
     """The class of every two-terminal series-parallel network with at
     most max_edges edges, from single edges by `series` and `parallel`
-    alone, on the int ring of `enumerate_constructions(max_edges)`."""
-    k, leaf, s2 = mel._int_ring(max_edges)
-    layers = [set(), {leaf(1)}]
+    alone, in the ring of `enumerate_constructions(max_edges)`."""
+    lift, s2, read = pl.ring(max_edges)
+    layers = [set(), {mel._bananas(lift(ONE), s2)(1)}]
     for n in range(2, max_edges + 1):
         layers.append({join(x, y, s2) for i in range(1, n // 2 + 1)
                        for x in layers[i] for y in layers[n - i]
                        for join in (mel.series, mel.parallel)})
-    return {ClassPoly(from_value(mel.class_b(t, s2), k))
+    return {read(mel.class_b(t, s2))
             for layer in layers for t in layer}
 
 
@@ -577,6 +578,17 @@ def test_enumerations_are_independent():
                                   mel.enumerate_constructions(9))
     together = [[p for p in seq if p is not None] for seq in zip(*turns)]
     assert together == alone
+
+
+def test_enumeration_same_on_ints_and_on_polynomials(monkeypatch):
+    # enumeration builds its triples in the ring of poly.ring: ints by
+    # default, polynomials with the threshold at 0; both give the same
+    # trees in the same order, and the same classes
+    on_ints = list(mel.enumerate_constructions(8))
+    assert all(isinstance(t[0], int) for t in mel._class_memo.values())
+    monkeypatch.setattr(pl, "INT_FOLD_EDGES", 0)
+    assert list(mel.enumerate_constructions(8)) == on_ints
+    assert all(isinstance(t[0], IntPoly) for t in mel._class_memo.values())
 
 
 def test_enumerate_rejects_nonpositive():

@@ -19,6 +19,7 @@ cancels in b.
 
 from melonclass import graphalg as ga
 from melonclass import melonic as mel
+from melonclass import poly as pl
 from melonclass.graphalg import Multigraph
 from melonclass.poly import ONE, S_PLUS_2, eval_int
 
@@ -53,13 +54,18 @@ def test_single_edge_triple_is_counted():
 
 def test_every_network_triple_matches_its_point_counts():
     # one construction for each distinct triple of a network with at
-    # most 8 edges, its triple folded on polynomials
-    networks = {}
-    leaf = mel._bananas(ONE, S_PLUS_2)
-    for tree, _ in mel.enumerate_constructions(8):
+    # most 9 edges.  The constructions are told apart by their triples on
+    # the int ring, the faster fold: equal polynomial triples have equal
+    # values, and the kept constructions still give all 653 distinct
+    # polynomial triples, so no two were merged
+    lift, s2, _ = pl.ring(9)
+    int_leaf, on_ints = mel._bananas(lift(ONE), s2), {}
+    for tree, _ in mel.enumerate_constructions(9):
         c = mel.linearize(tree)
-        networks.setdefault(mel._fold(c, leaf), c)
-    assert len(networks) == 294
+        on_ints.setdefault(mel._fold(c, int_leaf, s2), c)
+    leaf = mel._bananas(ONE, S_PLUS_2)
+    networks = {mel._fold(c, leaf): c for c in on_ints.values()}
+    assert len(networks) == 653
     for triple, c in networks.items():
         g = mel.to_graph(c)
         for q in (2, 3, 5):
